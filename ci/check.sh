@@ -62,6 +62,11 @@ echo "== crash-soak smoke (--crash --quick)"
 # lost write or incomplete cell
 dune exec bin/asvm_sim.exe -- chaos --crash --quick --jobs 2
 
+echo "== perfbench smoke (em3d-oversub, 1 s)"
+# the repository benchmark checks invariants, Em3d.validate and digest
+# stability on every run, and exits nonzero when any of them fails
+bash perfbench/run.sh --workload em3d-oversub --seed 1 --seconds 1 --trace 0
+
 echo "== docs link check"
 # every relative markdown link and every docs/*.md path mentioned in
 # the sources must resolve to a file in the repository

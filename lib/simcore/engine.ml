@@ -20,11 +20,23 @@ let create () =
 
 let now t = t.now
 
-let schedule_at t ~time k =
+let reserve_seq t =
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  seq
+
+let[@inline] check_time t time =
   if not (Float.is_finite time) then invalid_arg "Engine.schedule_at: time not finite";
-  if time < t.now then invalid_arg "Engine.schedule_at: time in the past";
-  Event_queue.add t.queue ~time ~seq:t.seq k;
-  t.seq <- t.seq + 1
+  if time < t.now then invalid_arg "Engine.schedule_at: time in the past"
+
+let schedule_reserved t ~time ~seq k =
+  check_time t time;
+  if seq < 0 || seq >= t.seq then invalid_arg "Engine.schedule_reserved: seq not reserved";
+  Event_queue.add t.queue ~time ~seq k
+
+let schedule_at t ~time k =
+  check_time t time;
+  Event_queue.add t.queue ~time ~seq:(reserve_seq t) k
 
 let schedule t ~delay k =
   if not (Float.is_finite delay) || delay < 0. then
@@ -50,10 +62,12 @@ let run ?until ?max_events t =
     (match max_events with
     | Some m -> t.executed - executed0 < m
     | None -> true)
-    && (match until, Event_queue.min_time t.queue with
-       | Some u, Some next -> next <= u
-       | _, None -> false
-       | None, Some _ -> true)
+    (* without [until], [step] itself stops on an empty queue; asking
+       the queue for its minimum would allocate an option per event *)
+    && (match until with
+       | None -> true
+       | Some u -> (
+         match Event_queue.min_time t.queue with Some next -> next <= u | None -> false))
   in
   while continue () && step t do
     ()

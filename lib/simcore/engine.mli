@@ -22,6 +22,18 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
     @raise Invalid_argument if [time] is in the past. *)
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
+(** [reserve_seq t] takes the next tie-breaking sequence number, exactly
+    as {!schedule_at} would, without queueing anything.  With
+    {!schedule_reserved} it lets a caller hold an event outside the
+    queue and insert it later at the position it would have had. *)
+val reserve_seq : t -> int
+
+(** [schedule_reserved t ~time ~seq k] fires [k] at [time], ordered
+    among events of equal time by [seq], a number from {!reserve_seq}.
+    @raise Invalid_argument if [time] is in the past or [seq] was
+    never reserved. *)
+val schedule_reserved : t -> time:float -> seq:int -> (unit -> unit) -> unit
+
 (** Execute the next event. Returns [false] when the queue is empty. *)
 val step : t -> bool
 
@@ -33,7 +45,10 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 (** Number of events executed so far. *)
 val events_executed : t -> int
 
-(** Number of events still queued. *)
+(** Number of entries in the event queue.  A busy {!Station} holds one
+    entry, for its head job, however many jobs wait behind it; so this
+    is at most the directly scheduled events plus the busy stations,
+    not the number of events still to execute. *)
 val pending : t -> int
 
 (** Profiling counters accumulated across all calls to {!run}.

@@ -10,44 +10,57 @@ let is_empty t = t.len = 0
 
 let size t = t.len
 
-let precedes a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let[@inline] precedes a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 let grow t =
   let heap = Array.make (2 * Array.length t.heap) dummy in
   Array.blit t.heap 0 heap 0 t.len;
   t.heap <- heap
 
-let rec sift_up t i =
-  if i > 0 then begin
+(* Both sifts move a hole rather than swapping: each level costs one
+   array write instead of two. *)
+let rec sift_up heap i e =
+  if i = 0 then heap.(0) <- e
+  else begin
     let parent = (i - 1) / 2 in
-    if precedes t.heap.(i) t.heap.(parent) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      sift_up t parent
+    let p = heap.(parent) in
+    if precedes e p then begin
+      heap.(i) <- p;
+      sift_up heap parent e
     end
+    else heap.(i) <- e
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < t.len && precedes t.heap.(l) t.heap.(i) then l else i in
-  let smallest =
-    if r < t.len && precedes t.heap.(r) t.heap.(smallest) then r else smallest
-  in
-  if smallest <> i then begin
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(smallest);
-    t.heap.(smallest) <- tmp;
-    sift_down t smallest
+let rec sift_down heap len i e =
+  let l = (2 * i) + 1 in
+  if l >= len then heap.(i) <- e
+  else begin
+    let r = l + 1 in
+    let c = if r < len && precedes heap.(r) heap.(l) then r else l in
+    let ce = heap.(c) in
+    if precedes ce e then begin
+      heap.(i) <- ce;
+      sift_down heap len c e
+    end
+    else heap.(i) <- e
   end
 
 let add t ~time ~seq run =
   if t.len = Array.length t.heap then grow t;
-  t.heap.(t.len) <- { time; seq; run };
   t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+  sift_up t.heap (t.len - 1) { time; seq; run }
 
 let min_time t = if t.len = 0 then None else Some t.heap.(0).time
+
+(* Remove the root of a non-empty heap and return it. *)
+let take t =
+  let heap = t.heap in
+  let e = heap.(0) in
+  t.len <- t.len - 1;
+  let last = heap.(t.len) in
+  heap.(t.len) <- dummy;
+  if t.len > 0 then sift_down heap t.len 0 last;
+  e
 
 type slot = { mutable s_time : float; mutable s_seq : int; mutable s_run : unit -> unit }
 
@@ -58,11 +71,7 @@ let slot () = { s_time = 0.; s_seq = 0; s_run = ignore }
 let pop_into t s =
   t.len > 0
   && begin
-       let e = t.heap.(0) in
-       t.len <- t.len - 1;
-       t.heap.(0) <- t.heap.(t.len);
-       t.heap.(t.len) <- dummy;
-       if t.len > 0 then sift_down t 0;
+       let e = take t in
        s.s_time <- e.time;
        s.s_seq <- e.seq;
        s.s_run <- e.run;
@@ -71,11 +80,6 @@ let pop_into t s =
 
 let pop t =
   if t.len = 0 then None
-  else begin
-    let e = t.heap.(0) in
-    t.len <- t.len - 1;
-    t.heap.(0) <- t.heap.(t.len);
-    t.heap.(t.len) <- dummy;
-    if t.len > 0 then sift_down t 0;
+  else
+    let e = take t in
     Some (e.time, e.seq, e.run)
-  end

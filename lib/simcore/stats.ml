@@ -77,7 +77,9 @@ module Histogram = struct
     | Some a -> a
     | None ->
       let a = Array.of_list t.samples in
-      Array.sort compare a;
+      (* cheaper than a heap sort through polymorphic compare, which
+         showed in snapshot time on histograms of ~10^5 samples *)
+      Array.stable_sort Float.compare a;
       t.sorted <- Some a;
       a
 

@@ -96,6 +96,67 @@ let test_percentiles () =
   close "mean" 50.5 (Metrics.Histogram.mean h);
   Alcotest.(check int) "count" 100 (Metrics.Histogram.count h)
 
+(* Percentiles as both histograms computed them with the polymorphic
+   heap sort they used before: the float merge sort must not move any. *)
+let old_sorted samples =
+  let a = Array.of_list samples in
+  Array.sort compare a;
+  a
+
+let old_metrics_percentile a p =
+  let rank = p /. 100. *. float_of_int (Array.length a - 1) in
+  let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
+  if lo = hi then a.(lo)
+  else
+    let frac = rank -. float_of_int lo in
+    (a.(lo) *. (1. -. frac)) +. (a.(hi) *. frac)
+
+let old_stats_percentile a p =
+  let n = Array.length a in
+  if n = 1 then a.(0)
+  else
+    let rank = p /. 100. *. float_of_int (n - 1) in
+    let lo = min (n - 2) (int_of_float rank) in
+    let frac = rank -. float_of_int lo in
+    a.(lo) +. (frac *. (a.(lo + 1) -. a.(lo)))
+
+let test_sort_matches_old =
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [ (3, float_range (-100.) 100.); (2, oneofl [ 0.; -0.; 1.; 1.; 2.5 ]) ])
+  in
+  QCheck.Test.make ~name:"histogram percentiles match the old sort" ~count:500
+    QCheck.(
+      make ~print:Print.(list float) Gen.(list_size (int_range 1 200) sample))
+    (fun samples ->
+      let a = old_sorted samples in
+      let r = Metrics.Registry.create () in
+      let h = Metrics.Registry.histogram r "h" in
+      let s = Asvm_simcore.Stats.Histogram.create () in
+      List.iter
+        (fun x ->
+          Metrics.Histogram.observe h x;
+          Asvm_simcore.Stats.Histogram.add s x)
+        samples;
+      let same = Float.equal in
+      let stats_ok =
+        List.for_all
+          (fun p ->
+            same (old_stats_percentile a p)
+              (Asvm_simcore.Stats.Histogram.percentile s p))
+          [ 0.; 50.; 90.; 99.; 100. ]
+      in
+      match Metrics.Registry.snapshot r with
+      | [ { value = Metrics.Histogram_v v; _ } ] ->
+        stats_ok
+        && same v.min a.(0)
+        && same v.max a.(Array.length a - 1)
+        && same v.p50 (old_metrics_percentile a 50.)
+        && same v.p90 (old_metrics_percentile a 90.)
+        && same v.p99 (old_metrics_percentile a 99.)
+      | _ -> false)
+
 let test_diff () =
   let r = Metrics.Registry.create () in
   let c = Metrics.Registry.counter r "c" in
@@ -332,6 +393,7 @@ let () =
         [
           Alcotest.test_case "label merging" `Quick test_label_merging;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
+          QCheck_alcotest.to_alcotest test_sort_matches_old;
           Alcotest.test_case "diff" `Quick test_diff;
           Alcotest.test_case "jsonl roundtrip" `Quick test_sample_json_roundtrip;
         ] );

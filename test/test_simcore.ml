@@ -152,6 +152,130 @@ let test_station_idle_gap () =
   Engine.run e;
   Alcotest.(check (float 1e-9)) "idle server starts immediately" 11. !t
 
+(* A station with no FIFO of its own: every completion goes straight
+   into the engine's queue.  It is the reference the real station must
+   match event for event. *)
+module Reference_station = struct
+  type t = { engine : Engine.t; mutable free_at : float }
+
+  let create engine = { engine; free_at = 0. }
+
+  let submit t ~service k =
+    let start = Float.max (Engine.now t.engine) t.free_at in
+    t.free_at <- start +. service;
+    Engine.schedule_at t.engine ~time:t.free_at k
+end
+
+(* A random program: top-level operations run before the engine starts,
+   and each event runs its children when it fires. *)
+type op =
+  | Submit of int * float * op list  (** station, service, children *)
+  | Direct of float * op list  (** delay, children *)
+
+let rec pp_op = function
+  | Submit (st, service, ops) ->
+    Printf.sprintf "Submit(%d,%g,[%s])" st service (pp_ops ops)
+  | Direct (delay, ops) -> Printf.sprintf "Direct(%g,[%s])" delay (pp_ops ops)
+
+and pp_ops ops = String.concat ";" (List.map pp_op ops)
+
+let gen_program =
+  let open QCheck.Gen in
+  (* few distinct durations, zero included, so completions collide *)
+  let duration = oneofl [ 0.; 0.; 0.5; 1.; 1.; 2. ] in
+  let rec ops depth =
+    list_size (int_range 0 (if depth = 0 then 6 else 3)) (op depth)
+  and op depth =
+    let children = if depth >= 3 then return [] else ops (depth + 1) in
+    frequency
+      [
+        (3, map3 (fun st d c -> Submit (st, d, c)) (int_bound 2) duration children);
+        (1, map2 (fun d c -> Direct (d, c)) duration children);
+      ]
+  in
+  pair (int_range 1 3) (ops 0)
+
+(* Run [program] with [submit] and return the executed (time, label)
+   pairs; labels number the operations in the order they execute. *)
+let trace_program ~create ~submit (stations, program) =
+  let e = Engine.create () in
+  let sts = Array.init stations (fun _ -> create e) in
+  let log = ref [] and next = ref 0 in
+  let rec exec op =
+    let label = !next in
+    incr next;
+    let fire children () =
+      log := (Engine.now e, label) :: !log;
+      List.iter exec children
+    in
+    match op with
+    | Submit (st, service, children) ->
+      submit sts.(st mod stations) ~service (fire children)
+    | Direct (delay, children) -> Engine.schedule e ~delay (fire children)
+  in
+  List.iter exec program;
+  Engine.run e;
+  (List.rev !log, Engine.events_executed e)
+
+let test_station_matches_reference =
+  QCheck.Test.make ~name:"station executes events in the reference order"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (n, ops) -> Printf.sprintf "%d stations: %s" n (pp_ops ops))
+       gen_program)
+    (fun program ->
+      trace_program ~create:Station.create ~submit:Station.submit program
+      = trace_program ~create:Reference_station.create
+          ~submit:Reference_station.submit program)
+
+(* Each job submits two more to the same station from its
+   continuation, so the backlog grows while the head moves: the ring
+   wraps, then grows with its head away from slot 0. *)
+let test_station_ring_wraps () =
+  let rec tree depth =
+    if depth = 0 then []
+    else
+      let service = if depth mod 3 = 0 then 0. else 1. in
+      [ Submit (0, service, tree (depth - 1)); Submit (0, service, tree (depth - 1)) ]
+  in
+  let program = (1, tree 9) in
+  let run submit create = trace_program ~create ~submit program in
+  let got, events = run Station.submit Station.create in
+  Alcotest.(check int) "every job fires" 1022 events;
+  Alcotest.(check bool) "same order as the reference" true
+    ((got, events) = run Reference_station.submit Reference_station.create)
+
+let test_station_one_heap_entry () =
+  let e = Engine.create () in
+  let busy = Station.create e and other = Station.create e in
+  let stations = 2 and direct = 3 in
+  let jobs = 10_000 in
+  let fired = ref 0 and max_pending = ref 0 in
+  let observe () = max_pending := max !max_pending (Engine.pending e) in
+  for _ = 1 to jobs do
+    Station.submit busy ~service:1. (fun () ->
+        incr fired;
+        observe ())
+  done;
+  Station.submit other ~service:2. observe;
+  Station.submit other ~service:2. observe;
+  for i = 1 to direct do
+    Engine.schedule e ~delay:(float_of_int (i * 1000) +. 0.5) observe
+  done;
+  observe ();
+  Alcotest.(check int) "one entry per busy station" (stations + direct)
+    (Engine.pending e);
+  Engine.run ~until:5000.5 e;
+  Alcotest.(check int) "jobs done by the cutoff" 5000 !fired;
+  Alcotest.(check (float 1e-9)) "clock at the cutoff" 5000.5 (Engine.now e);
+  Engine.run e;
+  Alcotest.(check int) "every job fires" jobs !fired;
+  Alcotest.(check bool) "pending never exceeds stations + direct" true
+    (!max_pending <= stations + direct);
+  Alcotest.(check int) "queue drained" 0 (Engine.pending e);
+  Alcotest.(check int) "one event per job" (jobs + 2 + direct)
+    (Engine.events_executed e)
+
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   let xs = List.init 100 (fun _ -> Rng.int a 1000) in
@@ -277,6 +401,9 @@ let () =
         [
           Alcotest.test_case "fifo queueing" `Quick test_station_fifo;
           Alcotest.test_case "idle gap" `Quick test_station_idle_gap;
+          qtest test_station_matches_reference;
+          Alcotest.test_case "ring wraps and grows" `Quick test_station_ring_wraps;
+          Alcotest.test_case "one heap entry" `Quick test_station_one_heap_entry;
         ] );
       ( "rng",
         [
