@@ -67,6 +67,11 @@ echo "== perfbench smoke (em3d-oversub, 1 s)"
 # stability on every run, and exits nonzero when any of them fails
 bash perfbench/run.sh --workload em3d-oversub --seed 1 --seconds 1 --trace 0
 
+echo "== perfbench smoke (file-read, 1 s)"
+# the 64-node read-replication workload: XMM's dense manager state and
+# the VM's page tables carry its per-fault lookups
+bash perfbench/run.sh --workload file-read --seed 1 --seconds 1 --trace 0
+
 echo "== docs link check"
 # every relative markdown link and every docs/*.md path mentioned in
 # the sources must resolve to a file in the repository

@@ -10,6 +10,7 @@ module Ids = Asvm_machvm.Ids
 module Store_pager = Asvm_pager.Store_pager
 module Metrics = Asvm_obs.Metrics
 module Trace = Asvm_obs.Trace
+module Int_table = Asvm_simcore.Int_table
 
 type forwarding = { dynamic : bool; static : bool }
 
@@ -208,21 +209,26 @@ type inst = {
   i_shadow : (Ids.obj_id * int) option;
   mutable i_version : int;
   mutable i_copies : (Ids.obj_id * int) list;
+  (* Table order is simulation state for [i_pages] and
+     [i_waiting_inbound]: [crash_node] parks their requests and
+     re-elects owners in table order, so they stay [Stdlib.Hashtbl].
+     The [Int_table]s below are only probed, except that [crash_node]
+     filters [i_granted] and [i_pageouts], which schedules nothing. *)
   i_pages : (int, pstate) Hashtbl.t;
   i_dyn : int Hint_cache.t;
   i_static : shint Hint_cache.t;
   i_seen : Bytes.t;  (** static-manager role: page ever had an owner *)
   mutable i_pageout_counter : int;
   mutable i_last_acceptor : int option;
-  i_push_ops : (int, push_op) Hashtbl.t;
+  i_push_ops : push_op Int_table.t;
   (* continuations waiting for a boolean answer (reader query, transfer
      offer), keyed by page *)
-  i_answers : (int, bool -> unit) Hashtbl.t;
+  i_answers : (bool -> unit) Int_table.t;
   (* pages this node has its own fault request in flight for (value =
      time the fault fired, feeding the latency histogram, and the fault
      generation — bumped by crash-recovery re-drives); foreign requests
      arriving meanwhile park here until ownership lands *)
-  i_outstanding : (int, float * int) Hashtbl.t;
+  i_outstanding : (float * int) Int_table.t;
   mutable i_next_gen : int;
   i_waiting_inbound : (int, request Queue.t) Hashtbl.t;
   (* answers this node owes for delivered-but-not-yet-answered messages
@@ -233,14 +239,14 @@ type inst = {
   mutable i_owed_acks : (int * msg) list;
   (* pager-node role: page -> node the pager last granted the page to;
      serializes simultaneous cold faults on one page (single-owner) *)
-  i_granted : (int, int) Hashtbl.t;
+  i_granted : int Int_table.t;
   (* pager-node role: page -> evicting node whose dirty contents are
      still in flight (between [A_pager_grant] and [A_to_pager]).  A
      lookup for such a page must wait for the contents: supplying from
      the store inside the window would hand out the stale pre-eviction
      image — and the pageout's arrival would then wipe the grant-table
      entry, letting a later lookup mint a second owner. *)
-  i_pageouts : (int, int) Hashtbl.t;
+  i_pageouts : int Int_table.t;
   mutable i_copy_acks : int;
   mutable i_copy_k : unit -> unit;
 }
@@ -507,17 +513,21 @@ let send t ~src ~dst ?carries_page msg =
   let ci = if not page then 0 else if src = dst then 1 else 2 in
   Metrics.Counter.incr (msgs_counter t row ci);
   if row_is_transfer.(row) then Metrics.Counter.incr (ot_counter t row ci);
-  Trace.emit t.trace ~time:(now t) ~node:src
-    (Trace.Msg
-       {
-         proto = "asvm";
-         cls;
-         group;
-         src;
-         dst;
-         carries_page = page;
-         bytes = (t.config.sts.Sts.header_bytes + if page then page_bytes else 0);
-       });
+  (match t.trace with
+  | None -> ()
+  | Some _ as trace ->
+    Trace.emit trace ~time:(now t) ~node:src
+      (Trace.Msg
+         {
+           proto = "asvm";
+           cls;
+           group;
+           src;
+           dst;
+           carries_page = page;
+           bytes =
+             (t.config.sts.Sts.header_bytes + if page then page_bytes else 0);
+         }));
   Sts.send t.sts ~src ~dst ?carries_page msg
 
 (* Per-forwarding-mechanism counters (dynamic hints, static manager,
@@ -615,7 +625,7 @@ let request_stale t req =
      match Hashtbl.find_opt t.insts (req.r_origin, req.r_origin_obj) with
      | None -> true
      | Some oi -> (
-       match Hashtbl.find_opt oi.i_outstanding req.r_page with
+       match Int_table.find_opt oi.i_outstanding req.r_page with
        | Some (_, g) -> g <> req.r_gen
        | None -> true))
 
@@ -635,7 +645,7 @@ let rec route_request t node req =
       req.r_kind = K_fault
       && req.r_origin <> node
       && req.r_ring < 0
-      && Hashtbl.mem i.i_outstanding req.r_page
+      && Int_table.mem i.i_outstanding req.r_page
     then begin
       (* this node's own fault for the page is in flight and will make
          it the owner: park the foreign request until then.  A sweeping
@@ -798,12 +808,12 @@ and end_of_search t node i req =
 (* Executed on the pager's node. *)
 and pager_lookup t node i req =
   let awaiting_pageout =
-    match Hashtbl.find_opt i.i_pageouts req.r_page with
+    match Int_table.find_opt i.i_pageouts req.r_page with
     | Some evictor when not (Network.is_down t.net evictor) -> true
     | Some _ ->
       (* the evictor died inside the window; its contents either died
          with it or dead-letter into the store — stop waiting *)
-      Hashtbl.remove i.i_pageouts req.r_page;
+      Int_table.remove i.i_pageouts req.r_page;
       false
     | None -> false
   in
@@ -814,7 +824,7 @@ and pager_lookup t node i req =
         if not (request_stale t req) then pager_lookup t node i req)
   else
   let escalated = req.r_hops > 4 * (Array.length i.i_sharers + 2) in
-  match Hashtbl.find_opt i.i_granted req.r_page with
+  match Int_table.find_opt i.i_granted req.r_page with
   | Some holder
     when req.r_kind <> K_push_scan && holder <> req.r_origin && not escalated
          && not (Network.is_down t.net holder)
@@ -836,7 +846,7 @@ and pager_lookup t node i req =
            { home = req.r_scan_home; page = req.r_page; copy = req.r_origin_obj; found = true })
     | K_fault | K_pull ->
       Stats.Counters.incr t.counters "pager.supplies";
-      Hashtbl.replace i.i_granted req.r_page req.r_origin;
+      Int_table.replace i.i_granted req.r_page req.r_origin;
       Store_pager.request (pager_of i req.r_page) ~obj:req.r_obj ~page:req.r_page ~words:t.wpp
         (fun contents ->
           update_static t i ~page:req.r_page ~hint:(S_at req.r_origin);
@@ -882,7 +892,7 @@ and conclude_fresh t node i req =
   | K_fault | K_pull ->
     Stats.Counters.incr t.counters "zero_grants";
     if node = Store_pager.node (pager_of i req.r_page) then
-      Hashtbl.replace i.i_granted req.r_page req.r_origin;
+      Int_table.replace i.i_granted req.r_page req.r_origin;
     update_static t i ~page:req.r_page ~hint:(S_at req.r_origin);
     send t ~src:node ~dst:req.r_origin
       (A_reply
@@ -1152,7 +1162,7 @@ and run_push_if_needed t node i ps page k =
             ps.p_version <- i.i_version;
             ps.p_pushing <- false;
             k ()));
-    Hashtbl.replace i.i_push_ops page op;
+    Int_table.replace i.i_push_ops page op;
     (* our own node's local copy chain *)
     Vm.lock_request vm ~obj:i.i_obj ~page
       ~op:{ Emmi.max_access = Prot.Read_only; clean = false; mode = Emmi.Lock_push_first }
@@ -1188,12 +1198,12 @@ and run_push_if_needed t node i ps page k =
   end
 
 and push_op_done i ~page =
-  match Hashtbl.find_opt i.i_push_ops page with
+  match Int_table.find_opt i.i_push_ops page with
   | None -> ()
   | Some op ->
     op.o_outstanding <- op.o_outstanding - 1;
     if op.o_outstanding <= 0 then begin
-      Hashtbl.remove i.i_push_ops page;
+      Int_table.remove i.i_push_ops page;
       op.o_k ()
     end
 
@@ -1214,7 +1224,7 @@ and push_phase_two t node i ~page ~contents op k =
         o_k = k;
       }
     in
-    Hashtbl.replace i.i_push_ops page op2;
+    Int_table.replace i.i_push_ops page op2;
     List.iter
       (fun target ->
         send t ~src:node ~dst:target ~carries_page:true
@@ -1242,7 +1252,7 @@ and query_readers t node i ps ~page ~contents ~dirty readers =
   match readers with
   | r :: rest ->
     ps.p_readers <- rest;
-    Hashtbl.replace i.i_answers page (fun accepted ->
+    Int_table.replace i.i_answers page (fun accepted ->
         if accepted then begin
           Stats.Counters.incr t.counters "pageout.reader_handoffs";
           Hint_cache.put i.i_dyn ~page r;
@@ -1274,7 +1284,7 @@ and offer_transfer t node i ps ~page ~contents ~dirty =
   let try_candidate target ~fallback =
     if target = node then fallback ()
     else begin
-      Hashtbl.replace i.i_answers page (fun accepted ->
+      Int_table.replace i.i_answers page (fun accepted ->
           if accepted then begin
             Stats.Counters.incr t.counters "pageout.internode";
             i.i_last_acceptor <- Some target;
@@ -1310,7 +1320,7 @@ and pageout_to_pager t node i ps ~page ~contents ~dirty =
     conclude ()
   end
   else begin
-    Hashtbl.replace i.i_answers page (fun _granted ->
+    Int_table.replace i.i_answers page (fun _granted ->
         send t ~src:node ~dst:pnode ~carries_page:true
           (A_to_pager { obj = i.i_obj; page; contents = Some contents });
         conclude ());
@@ -1324,7 +1334,7 @@ and pageout_to_pager t node i ps ~page ~contents ~dirty =
 (* Ship a dirty page to the object's pager from outside an owner op
    (fallback paths), honouring the buffer handshake. *)
 let pager_store_handshake t node i ~page ~contents =
-  Hashtbl.replace i.i_answers page (fun _granted ->
+  Int_table.replace i.i_answers page (fun _granted ->
       send t ~src:node
         ~dst:(Store_pager.node (pager_of i page))
         ~carries_page:true
@@ -1343,8 +1353,11 @@ let install_owner t node i ~page ~readers ~version ~dirty ~static_updated =
   Hashtbl.replace i.i_pages page ps;
   if dirty then Vm.set_frame_dirty t.vms.(node) ~obj:i.i_obj ~page;
   Hint_cache.remove i.i_dyn ~page;
-  Trace.emit t.trace ~time:(now t) ~node
-    (Trace.Ownership { obj = i.i_obj; page; owner = node });
+  (match t.trace with
+  | None -> ()
+  | Some _ as trace ->
+    Trace.emit trace ~time:(now t) ~node
+      (Trace.Ownership { obj = i.i_obj; page; owner = node }));
   if not static_updated then update_static t i ~page ~hint:(S_at node)
 
 (* Requests that parked here while our own fault was in flight are
@@ -1364,7 +1377,7 @@ let drain_inbound t node i page =
    fault was in crash recovery (re-driven after a dead letter or a
    rejoin), also sample the recovery-latency histogram. *)
 let observe_fault_latency t i ~page ~ownership =
-  (match Hashtbl.find_opt i.i_outstanding page with
+  (match Int_table.find_opt i.i_outstanding page with
   | None -> ()
   | Some (t0, _gen) ->
     Metrics.Histogram.observe
@@ -1387,7 +1400,7 @@ let handle_reply t node
        reservation, so the stale answer must not consume it *)
     gen >= 0
     &&
-    match Hashtbl.find_opt i.i_outstanding page with
+    match Int_table.find_opt i.i_outstanding page with
     | Some (_, g) -> g <> gen
     | None -> true
   in
@@ -1395,7 +1408,7 @@ let handle_reply t node
   else begin
   Sts.release_buffer t.sts ~node;
   observe_fault_latency t i ~page ~ownership:owner;
-  Hashtbl.remove i.i_outstanding page;
+  Int_table.remove i.i_outstanding page;
   let vm = t.vms.(node) in
   let c = match contents with Some c -> c | None -> zero t in
   (* A write grant that did not come from a previous owner (pager
@@ -1457,7 +1470,7 @@ let rec handle t node msg =
     let stale =
       gen >= 0
       &&
-      match Hashtbl.find_opt i.i_outstanding page with
+      match Int_table.find_opt i.i_outstanding page with
       | Some (_, g) -> g <> gen
       | None -> true
     in
@@ -1465,7 +1478,7 @@ let rec handle t node msg =
     else begin
       Sts.release_buffer t.sts ~node;
       observe_fault_latency t i ~page ~ownership:true;
-      Hashtbl.remove i.i_outstanding page;
+      Int_table.remove i.i_outstanding page;
       if Vm.is_resident t.vms.(node) ~obj ~page then begin
         Vm.lock_request t.vms.(node) ~obj ~page
           ~op:{ Emmi.max_access = Prot.Read_write; clean = false; mode = Emmi.Lock_plain }
@@ -1538,7 +1551,7 @@ let rec handle t node msg =
        would hold a copy invalidations can no longer reach. *)
     if
       Vm.is_resident vm ~obj ~page
-      && not (Hashtbl.mem i.i_outstanding page)
+      && not (Int_table.mem i.i_outstanding page)
     then begin
       (* accept ownership without a page transfer (step 2) *)
       if dirty then Vm.set_frame_dirty vm ~obj ~page;
@@ -1564,9 +1577,9 @@ let rec handle t node msg =
     end
   | A_reader_answer { obj; page; from = _; accepted } -> (
     let i = inst t node obj in
-    match Hashtbl.find_opt i.i_answers page with
+    match Int_table.find_opt i.i_answers page with
     | Some k ->
-      Hashtbl.remove i.i_answers page;
+      Int_table.remove i.i_answers page;
       k accepted
     | None -> ())
   | A_transfer_offer { obj; page; from } ->
@@ -1585,9 +1598,9 @@ let rec handle t node msg =
     send t ~src:node ~dst:from (A_transfer_answer { obj; page; from = node; accepted })
   | A_transfer_answer { obj; page; from = _; accepted } -> (
     let i = inst t node obj in
-    match Hashtbl.find_opt i.i_answers page with
+    match Int_table.find_opt i.i_answers page with
     | Some k ->
-      Hashtbl.remove i.i_answers page;
+      Int_table.remove i.i_answers page;
       k accepted
     | None -> ())
   | A_transfer_page { obj; page; contents; dirty; version } ->
@@ -1622,7 +1635,7 @@ let rec handle t node msg =
       if Network.is_down t.net node then ()
       else if Sts.reserve_buffer t.sts ~node then begin
         i.i_owed_acks <- List.filter (fun o -> o != owed) i.i_owed_acks;
-        Hashtbl.replace i.i_pageouts page from;
+        Int_table.replace i.i_pageouts page from;
         send t ~src:node ~dst:from (A_pager_grant { obj; page })
       end
       else Engine.schedule (Vm.engine t.vms.(node)) ~delay:1.0 acquire
@@ -1630,15 +1643,15 @@ let rec handle t node msg =
     acquire ()
   | A_pager_grant { obj; page } -> (
     let i = inst t node obj in
-    match Hashtbl.find_opt i.i_answers page with
+    match Int_table.find_opt i.i_answers page with
     | Some k ->
-      Hashtbl.remove i.i_answers page;
+      Int_table.remove i.i_answers page;
       k true
     | None -> ())
   | A_to_pager { obj; page; contents } -> (
     let i = inst t node obj in
-    Hashtbl.remove i.i_granted page;
-    Hashtbl.remove i.i_pageouts page;
+    Int_table.remove i.i_granted page;
+    Int_table.remove i.i_pageouts page;
     match contents with
     | Some c ->
       Sts.release_buffer t.sts ~node;
@@ -1694,12 +1707,12 @@ let rec handle t node msg =
         end)
   | A_push_lock_done { obj; page; from; needs_contents } -> (
     let i = inst t node obj in
-    match Hashtbl.find_opt i.i_push_ops page with
+    match Int_table.find_opt i.i_push_ops page with
     | Some op ->
       if needs_contents then op.o_need_nodes <- from :: op.o_need_nodes;
       op.o_outstanding <- op.o_outstanding - 1;
       if op.o_outstanding <= 0 then begin
-        Hashtbl.remove i.i_push_ops page;
+        Int_table.remove i.i_push_ops page;
         op.o_k ()
       end
     | None -> ())
@@ -1727,7 +1740,7 @@ let rec handle t node msg =
     acquire ()
   | A_push_ready { copy; home; page } -> (
     let i = inst t node home in
-    match Hashtbl.find_opt i.i_push_ops page with
+    match Int_table.find_opt i.i_push_ops page with
     | Some op -> (
       match op.o_contents with
       | Some contents ->
@@ -1758,7 +1771,7 @@ let rec handle t node msg =
     send t ~src:node ~dst:from (A_push_ack { home; page })
   | A_scan_answer { home; page; copy; found } -> (
     let i = inst t node home in
-    match Hashtbl.find_opt i.i_push_ops page with
+    match Int_table.find_opt i.i_push_ops page with
     | Some op ->
       if not found then begin
         let peer =
@@ -1768,7 +1781,7 @@ let rec handle t node msg =
       end;
       op.o_outstanding <- op.o_outstanding - 1;
       if op.o_outstanding <= 0 then begin
-        Hashtbl.remove i.i_push_ops page;
+        Int_table.remove i.i_push_ops page;
         op.o_k ()
       end
     | None -> ())
@@ -1851,7 +1864,7 @@ let set_static_hint t i ~page ~hint =
 let purge_granted t i ~page =
   let pnode = Store_pager.node (pager_of i page) in
   match Hashtbl.find_opt t.insts (pnode, i.i_obj) with
-  | Some pi -> Hashtbl.remove pi.i_granted page
+  | Some pi -> Int_table.remove pi.i_granted page
   | None -> ()
 
 (* Restart a fault whose request or answer was lost to a crash.  The
@@ -1874,11 +1887,11 @@ let redrive_fault t req =
       let gen =
         if req.r_gen < 0 then Some (-1)
         else
-          match Hashtbl.find_opt oi.i_outstanding req.r_page with
+          match Int_table.find_opt oi.i_outstanding req.r_page with
           | Some (t0, g) when g = req.r_gen ->
             let g' = oi.i_next_gen in
             oi.i_next_gen <- g' + 1;
-            Hashtbl.replace oi.i_outstanding req.r_page (t0, g');
+            Int_table.replace oi.i_outstanding req.r_page (t0, g');
             Some g'
           | Some _ | None -> None
       in
@@ -2025,7 +2038,7 @@ let salvage t ~src ~dst ~src_dead ~dst_dead msg =
       if not (Network.is_down t.net src) then begin
         Sts.release_buffer t.sts ~node:src;
         match Hashtbl.find_opt t.insts (src, obj) with
-        | Some pi -> Hashtbl.remove pi.i_pageouts page
+        | Some pi -> Int_table.remove pi.i_pageouts page
         | None -> ()
       end
     | A_to_pager { obj; page; contents } -> (
@@ -2114,14 +2127,14 @@ let make_inst t ~node ~obj ~size_pages ~sharers ~pagers ~fwd ~shadow =
     i_seen = Bytes.make size_pages '\000';
     i_pageout_counter = 0;
     i_last_acceptor = None;
-    i_push_ops = Hashtbl.create 8;
-    i_answers = Hashtbl.create 8;
-    i_outstanding = Hashtbl.create 8;
+    i_push_ops = Int_table.create 8;
+    i_answers = Int_table.create 8;
+    i_outstanding = Int_table.create 8;
     i_next_gen = 0;
     i_waiting_inbound = Hashtbl.create 8;
     i_owed_acks = [];
-    i_granted = Hashtbl.create 8;
-    i_pageouts = Hashtbl.create 8;
+    i_granted = Int_table.create 8;
+    i_pageouts = Int_table.create 8;
     i_copy_acks = 0;
     i_copy_k = ignore;
   }
@@ -2200,7 +2213,7 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
           in
           acquire ()
         | _ ->
-          if Hashtbl.mem i.i_outstanding page then
+          if Int_table.mem i.i_outstanding page then
             (* one request per page at a time: a second kernel request
                (e.g. a write upgrade behind a read fault) is answered by
                the kernel's own retry after the first reply lands — a
@@ -2212,7 +2225,7 @@ let register_object t ~obj ~size_pages ~sharers ~pagers ?forwarding ?shadow ()
                requests wait when the pool is exhausted (flow control) *)
             let gen = i.i_next_gen in
             i.i_next_gen <- gen + 1;
-            Hashtbl.replace i.i_outstanding page
+            Int_table.replace i.i_outstanding page
               (Engine.now (Vm.engine t.vms.(node)), gen);
             let rec acquire () =
               if Network.is_down t.net node then ()
@@ -2342,22 +2355,14 @@ let crash_node t ~node =
           (fun _page ps ->
             ps.p_readers <- List.filter (fun r -> r <> node) ps.p_readers)
           i.i_pages;
-        let stale =
-          Hashtbl.fold
-            (fun page holder acc -> if holder = node then page :: acc else acc)
-            i.i_granted []
+        let drop_victim _page holder =
+          if holder = node then None else Some holder
         in
-        List.iter (fun page -> Hashtbl.remove i.i_granted page) stale;
+        Int_table.filter_map_inplace drop_victim i.i_granted;
         (* pending dirty pageouts from the victim will never arrive
            (or dead-letter straight into the store): stop holding
            lookups for them *)
-        let stale_po =
-          Hashtbl.fold
-            (fun page evictor acc ->
-              if evictor = node then page :: acc else acc)
-            i.i_pageouts []
-        in
-        List.iter (fun page -> Hashtbl.remove i.i_pageouts page) stale_po
+        Int_table.filter_map_inplace drop_victim i.i_pageouts
       end)
     t.insts;
   (* re-elect an owner for every page the victim owned *)
@@ -2551,13 +2556,13 @@ let check_invariants t =
                 "obj#%d: node %d still parks %d foreign requests for page %d \
                  (outstanding=%b owner=%b resident=%b)"
                 obj node (Queue.length q) page
-                (Hashtbl.mem i.i_outstanding page)
+                (Int_table.mem i.i_outstanding page)
                 (Hashtbl.mem i.i_pages page)
                 (Vm.is_resident t.vms.(node) ~obj ~page))
             i.i_waiting_inbound;
-          if Hashtbl.length i.i_push_ops > 0 then
+          if Int_table.length i.i_push_ops > 0 then
             bad "obj#%d: node %d has unfinished push operations" obj node;
-          if Hashtbl.length i.i_answers > 0 then
+          if Int_table.length i.i_answers > 0 then
             bad "obj#%d: node %d awaits unanswered queries" obj node)
         insts)
     objects;

@@ -1,7 +1,10 @@
 (* O(1) LRU: a hash table over an intrusive doubly-linked list kept in
    recency order (head = most recent, tail = the eviction victim).
    Every operation is a table probe plus pointer surgery — no scans, so
-   the cost no longer grows with capacity. *)
+   the cost no longer grows with capacity.  The table is only probed;
+   recency lives in the list, so its bucket order never matters. *)
+
+module Int_table = Asvm_simcore.Int_table
 
 type 'a node = {
   page : int;
@@ -12,7 +15,7 @@ type 'a node = {
 
 type 'a t = {
   capacity : int;
-  table : (int, 'a node) Hashtbl.t;
+  table : 'a node Int_table.t;
   mutable head : 'a node option;
   mutable tail : 'a node option;
   mutable hits : int;
@@ -23,7 +26,7 @@ let create ~capacity =
   if capacity < 0 then invalid_arg "Hint_cache.create: negative capacity";
   {
     capacity;
-    table = Hashtbl.create (max 8 capacity);
+    table = Int_table.create (max 8 capacity);
     head = None;
     tail = None;
     hits = 0;
@@ -31,7 +34,7 @@ let create ~capacity =
   }
 
 let capacity t = t.capacity
-let size t = Hashtbl.length t.table
+let size t = Int_table.length t.table
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
@@ -54,23 +57,23 @@ let move_to_front t n =
 let put t ~page value =
   if t.capacity = 0 then ()
   else
-    match Hashtbl.find_opt t.table page with
+    match Int_table.find_opt t.table page with
     | Some n ->
       n.value <- value;
       move_to_front t n
     | None ->
-      if Hashtbl.length t.table >= t.capacity then
+      if Int_table.length t.table >= t.capacity then
         (match t.tail with
         | Some victim ->
           unlink t victim;
-          Hashtbl.remove t.table victim.page
+          Int_table.remove t.table victim.page
         | None -> ());
       let n = { page; value; prev = None; next = None } in
       push_front t n;
-      Hashtbl.replace t.table page n
+      Int_table.replace t.table page n
 
 let find t ~page =
-  match Hashtbl.find_opt t.table page with
+  match Int_table.find_opt t.table page with
   | Some n ->
     move_to_front t n;
     t.hits <- t.hits + 1;
@@ -80,10 +83,10 @@ let find t ~page =
     None
 
 let remove t ~page =
-  match Hashtbl.find_opt t.table page with
+  match Int_table.find_opt t.table page with
   | Some n ->
     unlink t n;
-    Hashtbl.remove t.table page
+    Int_table.remove t.table page
   | None -> ()
 
 let hits t = t.hits

@@ -1,4 +1,5 @@
 module Engine = Asvm_simcore.Engine
+module Int_table = Asvm_simcore.Int_table
 
 type task_rec = { id : Ids.task_id; amap : Address_map.t; pmap : Pmap.t }
 
@@ -17,14 +18,21 @@ type t = {
   config : Vm_config.t;
   backing : Backing.t;
   ids : Ids.Alloc.t;
-  objects : (Ids.obj_id, Vm_object.t) Hashtbl.t;
-  tasks : (Ids.task_id, task_rec) Hashtbl.t;
-  (* (object, page) -> set of (task, vpage) translations backed by it *)
-  reverse : (Ids.obj_id * int, (Ids.task_id * int, unit) Hashtbl.t) Hashtbl.t;
+  (* The int tables below are only probed, or walked where order cannot
+     matter: no walk schedules an event, and [crash_reset]'s walks only
+     clear state.  [pending] stays a [Stdlib.Hashtbl]: [redrive_pending]
+     schedules its waiters in table order. *)
+  objects : Vm_object.t Int_table.t;
+  tasks : task_rec Int_table.t;
+  (* [Ids.page_key obj page] -> the (task, vpage) translations backed by
+     the page, without duplicates *)
+  reverse : (Ids.task_id * int) list Int_table.t;
   pending : (Ids.obj_id * int, pending) Hashtbl.t;
-  (* pages of temporary objects that live in the default pager's store *)
-  swapped : (Ids.obj_id * int, unit) Hashtbl.t;
-  fifo : (Ids.obj_id * int) Queue.t;
+  (* [Ids.page_key] of pages of temporary objects that live in the
+     default pager's store *)
+  swapped : unit Int_table.t;
+  (* [Ids.page_key]s in install order: the eviction FIFO *)
+  fifo : int Queue.t;
   mutable resident_total : int;
   mutable faults : int;
   mutable local_faults : int;
@@ -43,11 +51,11 @@ let create ~engine ~node ~config ~backing ~ids =
     config;
     backing;
     ids;
-    objects = Hashtbl.create 64;
-    tasks = Hashtbl.create 8;
-    reverse = Hashtbl.create 256;
+    objects = Int_table.create 64;
+    tasks = Int_table.create 8;
+    reverse = Int_table.create 256;
     pending = Hashtbl.create 32;
-    swapped = Hashtbl.create 64;
+    swapped = Int_table.create 64;
     fifo = Queue.create ();
     resident_total = 0;
     faults = 0;
@@ -67,13 +75,13 @@ let config t = t.config
 (* ------------------------------------------------------------------ *)
 
 let create_object t ~id ~size_pages ~temporary =
-  if Hashtbl.mem t.objects id then
+  if Int_table.mem t.objects id then
     invalid_arg "Vm.create_object: id already present on this node";
   let o = Vm_object.create ~id ~size_pages ~temporary () in
-  Hashtbl.add t.objects id o;
+  Int_table.add t.objects id o;
   o
 
-let find_object t id = Hashtbl.find_opt t.objects id
+let find_object t id = Int_table.find_opt t.objects id
 
 let get_object t id =
   match find_object t id with
@@ -86,7 +94,7 @@ let get_object t id =
 let set_manager t id manager = (get_object t id).Vm_object.manager <- manager
 
 let task_rec t task =
-  match Hashtbl.find_opt t.tasks task with
+  match Int_table.find_opt t.tasks task with
   | Some tr -> tr
   | None -> failwith (Printf.sprintf "Vm: unknown task#%d on node %d" task t.node)
 
@@ -94,43 +102,45 @@ let task_rec t task =
 (* Reverse map and translation maintenance                            *)
 (* ------------------------------------------------------------------ *)
 
+let is_mapping (task : Ids.task_id) (vpage : int) (task', vpage') =
+  task = task' && vpage = vpage'
+
 let add_reverse t obj index task vpage =
-  let key = (obj, index) in
-  let set =
-    match Hashtbl.find_opt t.reverse key with
-    | Some s -> s
-    | None ->
-      let s = Hashtbl.create 4 in
-      Hashtbl.add t.reverse key s;
-      s
-  in
-  Hashtbl.replace set (task, vpage) ()
+  let key = Ids.page_key obj index in
+  match Int_table.find_opt t.reverse key with
+  | None -> Int_table.replace t.reverse key [ (task, vpage) ]
+  | Some maps ->
+    if not (List.exists (is_mapping task vpage) maps) then
+      Int_table.replace t.reverse key ((task, vpage) :: maps)
 
 let remove_translations t obj index =
-  match Hashtbl.find_opt t.reverse (obj, index) with
+  let key = Ids.page_key obj index in
+  match Int_table.find_opt t.reverse key with
   | None -> ()
-  | Some set ->
-    Hashtbl.iter
-      (fun (task, vpage) () ->
-        match Hashtbl.find_opt t.tasks task with
+  | Some maps ->
+    List.iter
+      (fun (task, vpage) ->
+        match Int_table.find_opt t.tasks task with
         | Some tr -> Pmap.remove tr.pmap ~vpage
         | None -> ())
-      set;
-    Hashtbl.remove t.reverse (obj, index)
+      maps;
+    Int_table.remove t.reverse key
+
+let downgrade_mappings t maps =
+  List.iter
+    (fun (task, vpage) ->
+      match Int_table.find_opt t.tasks task with
+      | Some tr -> (
+        match Pmap.lookup tr.pmap ~vpage with
+        | Some trn -> trn.prot <- Prot.min trn.prot Prot.Read_only
+        | None -> ())
+      | None -> ())
+    maps
 
 let downgrade_translations t obj index =
-  match Hashtbl.find_opt t.reverse (obj, index) with
+  match Int_table.find_opt t.reverse (Ids.page_key obj index) with
   | None -> ()
-  | Some set ->
-    Hashtbl.iter
-      (fun (task, vpage) () ->
-        match Hashtbl.find_opt t.tasks task with
-        | Some tr -> (
-          match Pmap.lookup tr.pmap ~vpage with
-          | Some trn -> trn.prot <- Prot.min trn.prot Prot.Read_only
-          | None -> ())
-        | None -> ())
-      set
+  | Some maps -> downgrade_mappings t maps
 
 (* ------------------------------------------------------------------ *)
 (* Residency, eviction                                                *)
@@ -184,7 +194,7 @@ let evict_frame t (o : Vm_object.t) index (fr : Vm_object.frame) =
         m.m_data_return ~page:index ~contents:fr.contents ~dirty:fr.dirty)
   | None ->
     if fr.dirty && o.temporary then begin
-      Hashtbl.replace t.swapped (o.id, index) ();
+      Int_table.replace t.swapped (Ids.page_key o.id index) ();
       t.backing.store ~obj:o.id ~page:index ~contents:fr.contents ~k:ignore
     end
 (* clean pages are re-derivable: zero-fill, the shadow chain, or the
@@ -197,12 +207,13 @@ let evict_one t =
     else
       match Queue.take_opt t.fifo with
       | None -> false
-      | Some (oid, index) -> (
+      | Some key -> (
+        let oid = Ids.key_obj key and index = Ids.key_page key in
         match frame_of t oid index with
         | None -> loop (n - 1)
         | Some fr ->
           if fr.wired then begin
-            Queue.push (oid, index) t.fifo;
+            Queue.push key t.fifo;
             loop (n - 1)
           end
           else begin
@@ -260,7 +271,7 @@ let install_frame t (o : Vm_object.t) index contents ~dirty ~access =
     let fr : Vm_object.frame = { contents; dirty; access; wired = false } in
     Vm_object.install o ~page:index fr;
     t.resident_total <- t.resident_total + 1;
-    Queue.push (o.id, index) t.fifo;
+    Queue.push (Ids.page_key o.id index) t.fifo;
     ensure_capacity t;
     maybe_wake_pageout t;
     fr
@@ -298,8 +309,8 @@ let unwire t ~obj ~page =
 (* ------------------------------------------------------------------ *)
 
 let write_protect_object t oid =
-  Hashtbl.iter
-    (fun (o, index) _set -> if o = oid then downgrade_translations t o index)
+  Int_table.iter
+    (fun key maps -> if Ids.key_obj key = oid then downgrade_mappings t maps)
     t.reverse
 
 let make_asymmetric_copy t ~src =
@@ -348,10 +359,12 @@ let unsplice_copy t ~src ~copy =
 
 let lock_object_readonly t oid =
   let o = get_object t oid in
-  Hashtbl.iter
-    (fun index (fr : Vm_object.frame) ->
-      fr.access <- Prot.min fr.access Prot.Read_only;
-      downgrade_translations t oid index)
+  Array.iteri
+    (fun index -> function
+      | Some (fr : Vm_object.frame) ->
+        fr.access <- Prot.min fr.access Prot.Read_only;
+        downgrade_translations t oid index
+      | None -> ())
     o.resident
 
 (* ------------------------------------------------------------------ *)
@@ -360,10 +373,11 @@ let lock_object_readonly t oid =
 
 let create_task t =
   let id = Ids.Alloc.fresh t.ids in
-  Hashtbl.add t.tasks id { id; amap = Address_map.create (); pmap = Pmap.create () };
+  Int_table.add t.tasks id
+    { id; amap = Address_map.create (); pmap = Pmap.create () };
   id
 
-let task_exists t task = Hashtbl.mem t.tasks task
+let task_exists t task = Int_table.mem t.tasks task
 
 let map t ~task ~obj ~start ~npages ~obj_offset ~inherit_ =
   let tr = task_rec t task in
@@ -402,8 +416,12 @@ let unmap t ~task ~start =
   for vpage = e.start to e.start + e.npages - 1 do
     match Pmap.lookup tr.pmap ~vpage with
     | Some trn ->
-      (match Hashtbl.find_opt t.reverse (trn.backing_obj, trn.index) with
-      | Some set -> Hashtbl.remove set (task, vpage)
+      let key = Ids.page_key trn.backing_obj trn.index in
+      (match Int_table.find_opt t.reverse key with
+      | Some maps -> (
+        match List.filter (fun m -> not (is_mapping task vpage m)) maps with
+        | [] -> Int_table.remove t.reverse key
+        | rest -> Int_table.replace t.reverse key rest)
       | None -> ());
       Pmap.remove tr.pmap ~vpage
     | None -> ()
@@ -432,10 +450,10 @@ let terminate_object t oid =
       Vm_object.remove o ~page;
       t.resident_total <- t.resident_total - 1)
     (Vm_object.resident_pages o);
-  Hashtbl.iter
-    (fun (obj, page) () -> if obj = oid then Hashtbl.remove t.swapped (obj, page))
-    (Hashtbl.copy t.swapped);
-  Hashtbl.remove t.objects oid
+  Int_table.filter_map_inplace
+    (fun key () -> if Ids.key_obj key = oid then None else Some ())
+    t.swapped;
+  Int_table.remove t.objects oid
 
 let translate_vpage t ~task ~vpage =
   let tr = task_rec t task in
@@ -455,7 +473,8 @@ type lookup =
 
 let rec lookup_chain t (o : Vm_object.t) index =
   if Vm_object.is_resident o index then L_found (o, index)
-  else if Hashtbl.mem t.swapped (o.id, index) then L_swapped (o, index)
+  else if Int_table.mem t.swapped (Ids.page_key o.id index) then
+    L_swapped (o, index)
   else if Vm_object.has_manager o then L_manager (o, index)
   else
     match o.shadow with
@@ -598,7 +617,7 @@ and fault_write t ctx task vpage (o : Vm_object.t) index k =
 and materialize_for_write t ctx task vpage (o : Vm_object.t) index k =
   let want = Prot.Read_write in
   let again () = fault t ctx task vpage want k in
-  if Hashtbl.mem t.swapped (o.id, index) then begin
+  if Int_table.mem t.swapped (Ids.page_key o.id index) then begin
     ctx.went_to_manager <- true;
     t.backing.fetch ~obj:o.id ~page:index ~k:(fun contents ->
         (match contents with
@@ -675,7 +694,7 @@ and local_push t (o : Vm_object.t) index then_k =
           head_index >= 0
           && head_index < head.size_pages
           && (not (Vm_object.is_resident head head_index))
-          && not (Hashtbl.mem t.swapped (head.id, head_index))
+          && not (Int_table.mem t.swapped (Ids.page_key head.id head_index))
           (* a page evicted to the backing store still belongs to the
              copy: pushing would clobber its snapshot *)
         then
@@ -763,7 +782,7 @@ let push_into_copy_chain t (o : Vm_object.t) page contents =
       head_index >= 0
       && head_index < head.size_pages
       && (not (Vm_object.is_resident head head_index))
-      && not (Hashtbl.mem t.swapped (head.id, head_index))
+      && not (Int_table.mem t.swapped (Ids.page_key head.id head_index))
     then begin
       ignore
         (install_frame t head head_index (Contents.snapshot contents) ~dirty:true
@@ -835,7 +854,7 @@ let pull_request t ~obj ~page ~reply =
         match Vm_object.frame s index with
         | Some fr -> answer (Emmi.Pull_contents (Contents.snapshot fr.contents))
         | None ->
-          if Hashtbl.mem t.swapped (s.id, index) then
+          if Int_table.mem t.swapped (Ids.page_key s.id index) then
             t.backing.fetch ~obj:s.id ~page:index ~k:(function
               | Some c -> answer (Emmi.Pull_contents c)
               | None -> answer Emmi.Pull_zero_fill)
@@ -851,7 +870,7 @@ let pull_request t ~obj ~page ~reply =
       match Vm_object.frame o page with
       | Some fr -> answer (Emmi.Pull_contents (Contents.snapshot fr.contents))
       | None ->
-        if Hashtbl.mem t.swapped (o.id, page) then
+        if Int_table.mem t.swapped (Ids.page_key o.id page) then
           t.backing.fetch ~obj ~page ~k:(function
             | Some c -> answer (Emmi.Pull_contents c)
             | None -> answer Emmi.Pull_zero_fill)
@@ -874,16 +893,16 @@ let crash_reset t =
      the restarted-application idealization: the same program resumes
      with cold memory.  Fault continuations parked in [pending] also
      survive, so [redrive_pending] can restart them at rejoin. *)
-  Hashtbl.iter
+  Int_table.iter
     (fun _id (o : Vm_object.t) ->
       List.iter (fun page -> Vm_object.remove o ~page) (Vm_object.resident_pages o))
     t.objects;
-  Hashtbl.reset t.reverse;
-  Hashtbl.reset t.swapped;
+  Int_table.reset t.reverse;
+  Int_table.reset t.swapped;
   Queue.clear t.fifo;
   t.resident_total <- 0;
   t.pageout_armed <- false;
-  Hashtbl.iter
+  Int_table.iter
     (fun _id tr ->
       List.iter (fun vpage -> Pmap.remove tr.pmap ~vpage) (Pmap.vpages tr.pmap))
     t.tasks

@@ -12,11 +12,16 @@ type t = {
   mutable shadow : (Ids.obj_id * int) option;
   mutable copy : Ids.obj_id option;
   mutable version : int;
-  page_versions : (int, int) Hashtbl.t;
+  mutable page_versions : int array;
   mutable manager : Emmi.manager option;
-  resident : (int, frame) Hashtbl.t;
+  mutable resident : frame option array;
+  mutable n_resident : int;
 }
 
+(* Both page arrays start empty and are sized on first use: most objects
+   on most nodes never see a page installed (or pushed), and allocating
+   them eagerly makes cluster set-up pay for every page of every
+   representation. *)
 let create ~id ~size_pages ~temporary ?shadow () =
   if size_pages <= 0 then invalid_arg "Vm_object.create: size_pages <= 0";
   {
@@ -26,30 +31,50 @@ let create ~id ~size_pages ~temporary ?shadow () =
     shadow;
     copy = None;
     version = 0;
-    page_versions = Hashtbl.create 8;
+    page_versions = [||];
     manager = None;
-    resident = Hashtbl.create 16;
+    resident = [||];
+    n_resident = 0;
   }
 
-let frame t page = Hashtbl.find_opt t.resident page
-let is_resident t page = Hashtbl.mem t.resident page
+let frame t page =
+  if page >= 0 && page < Array.length t.resident then t.resident.(page) else None
+
+let is_resident t page = Option.is_some (frame t page)
 
 let install t ~page fr =
   if page < 0 || page >= t.size_pages then
     invalid_arg "Vm_object.install: page out of range";
-  Hashtbl.replace t.resident page fr
+  if Array.length t.resident = 0 then t.resident <- Array.make t.size_pages None;
+  if Option.is_none t.resident.(page) then
+    t.n_resident <- t.n_resident + 1;
+  t.resident.(page) <- Some fr
 
-let remove t ~page = Hashtbl.remove t.resident page
+let remove t ~page =
+  if is_resident t page then begin
+    t.resident.(page) <- None;
+    t.n_resident <- t.n_resident - 1
+  end
 
 let resident_pages t =
-  Hashtbl.fold (fun page _ acc -> page :: acc) t.resident [] |> List.sort compare
+  let acc = ref [] in
+  for page = Array.length t.resident - 1 downto 0 do
+    if Option.is_some t.resident.(page) then acc := page :: !acc
+  done;
+  !acc
 
-let resident_count t = Hashtbl.length t.resident
+let resident_count t = t.n_resident
 
 let page_version t page =
-  match Hashtbl.find_opt t.page_versions page with Some v -> v | None -> 0
+  if page >= 0 && page < Array.length t.page_versions then t.page_versions.(page)
+  else 0
 
-let set_page_version t page v = Hashtbl.replace t.page_versions page v
+let set_page_version t page v =
+  if page < 0 || page >= t.size_pages then
+    invalid_arg "Vm_object.set_page_version: page out of range";
+  if Array.length t.page_versions = 0 then
+    t.page_versions <- Array.make t.size_pages 0;
+  t.page_versions.(page) <- v
 
 let needs_push t page = page_version t page <> t.version
 

@@ -25,10 +25,17 @@ type t = {
       (** source object and page offset into it *)
   mutable copy : Ids.obj_id option;  (** head of the copy chain *)
   mutable version : int;  (** bumped each time a copy is made (3.7.2) *)
-  page_versions : (int, int) Hashtbl.t;
-      (** page -> version at last push; missing = 0 *)
+  mutable page_versions : int array;
+      (** page -> version at last push.  Empty until the first
+          {!set_page_version}, then [size_pages] long; a page past the
+          end reads as version 0.  Read through {!page_version}. *)
   mutable manager : Emmi.manager option;
-  resident : (int, frame) Hashtbl.t;
+  mutable resident : frame option array;
+      (** page -> resident frame.  Empty until the first {!install},
+          then [size_pages] long.  Maintained by {!install} and
+          {!remove}, which keep {!resident_count} in step: never write
+          it directly. *)
+  mutable n_resident : int;  (** see {!resident_count} *)
 }
 
 val create :
@@ -39,6 +46,8 @@ val create :
   unit ->
   t
 
+(** [None] for a page that is not resident, out-of-range pages
+    included. *)
 val frame : t -> int -> frame option
 val is_resident : t -> int -> bool
 
@@ -46,11 +55,16 @@ val is_resident : t -> int -> bool
     an out-of-range page. *)
 val install : t -> page:int -> frame -> unit
 
+(** Drop a page's frame; a no-op when the page is not resident. *)
 val remove : t -> page:int -> unit
-val resident_pages : t -> int list
-val resident_count : t -> int
 
+(** Resident pages in ascending order. *)
+val resident_pages : t -> int list
+
+val resident_count : t -> int
 val page_version : t -> int -> int
+
+(** @raise Invalid_argument on an out-of-range page. *)
 val set_page_version : t -> int -> int -> unit
 
 (** [needs_push t page] — the page has not been pushed since the last

@@ -1,6 +1,8 @@
 module Engine = Asvm_simcore.Engine
 module Station = Asvm_simcore.Station
 module Contents = Asvm_machvm.Contents
+module Ids = Asvm_machvm.Ids
+module Int_table = Asvm_simcore.Int_table
 
 type config = { supply_ms : float; store_ms : float; file_read_ms : float }
 
@@ -19,7 +21,8 @@ type t = {
   disk : Disk.t;
   config : config;
   station : Station.t;
-  table : (Asvm_machvm.Ids.obj_id * int, entry) Hashtbl.t;
+  (* [Ids.page_key obj page] -> stored image; only probed *)
+  table : entry Int_table.t;
   mutable supplies : int;
   mutable cleans : int;
   mutable stores : int;
@@ -32,7 +35,7 @@ let create engine ~node ~disk config =
     disk;
     config;
     station = Station.create engine;
-    table = Hashtbl.create 256;
+    table = Int_table.create 256;
     supplies = 0;
     cleans = 0;
     stores = 0;
@@ -42,14 +45,14 @@ let node t = t.node
 let disk t = t.disk
 
 let preload t ~obj ~page contents =
-  Hashtbl.replace t.table (obj, page)
+  Int_table.replace t.table (Ids.page_key obj page)
     { data = Contents.snapshot contents; on_disk_only = true }
 
-let has t ~obj ~page = Hashtbl.mem t.table (obj, page)
+let has t ~obj ~page = Int_table.mem t.table (Ids.page_key obj page)
 
 let request t ~obj ~page ~words k =
   t.supplies <- t.supplies + 1;
-  match Hashtbl.find_opt t.table (obj, page) with
+  match Int_table.find_opt t.table (Ids.page_key obj page) with
   | Some e when e.on_disk_only ->
     (* cold file page: pay the media read once, then serve from memory *)
     Station.submit t.station
@@ -65,12 +68,12 @@ let request t ~obj ~page ~words k =
         k (Contents.zero ~words))
 
 let remember t ~obj ~page ~contents =
-  match Hashtbl.find_opt t.table (obj, page) with
+  match Int_table.find_opt t.table (Ids.page_key obj page) with
   | Some e ->
     e.data <- Contents.snapshot contents;
     e.on_disk_only <- false
   | None ->
-    Hashtbl.replace t.table (obj, page)
+    Int_table.replace t.table (Ids.page_key obj page)
       { data = Contents.snapshot contents; on_disk_only = false }
 
 let clean t ~obj ~page ~contents k =
@@ -101,7 +104,7 @@ let as_backing t =
                 k
                   (Option.map
                      (fun e -> Contents.snapshot e.data)
-                     (Hashtbl.find_opt t.table (obj, page))))));
+                     (Int_table.find_opt t.table (Ids.page_key obj page))))));
   }
 
 let supplies t = t.supplies

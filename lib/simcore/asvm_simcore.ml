@@ -9,4 +9,5 @@ module Engine = Engine
 module Station = Station
 module Rng = Rng
 module Stats = Stats
+module Int_table = Int_table
 module Tracer = Tracer

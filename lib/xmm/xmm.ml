@@ -8,6 +8,7 @@ module Ids = Asvm_machvm.Ids
 module Store_pager = Asvm_pager.Store_pager
 module Metrics = Asvm_obs.Metrics
 module Trace = Asvm_obs.Trace
+module Int_table = Asvm_simcore.Int_table
 
 (* XMMI: the XMM-internal protocol, an extension of EMMI carried over
    NORMA-IPC. *)
@@ -60,12 +61,18 @@ type mstate = {
   m_node : int;
   m_pager : Store_pager.t;
   m_sharers : int list;
-  (* one byte per page per node: the memory cost the paper criticizes *)
-  m_state : (int, Bytes.t) Hashtbl.t;
+  (* one byte per page per node: the memory cost the paper criticizes.
+     Node-indexed; a node's row is created on first touch, and
+     [m_rows] counts the rows that exist. *)
+  m_state : Bytes.t option array;
+  mutable m_rows : int;
   m_cleaned : Bytes.t;
-  m_busy : (int, unit) Hashtbl.t;
-  m_queue : (int, msg Queue.t) Hashtbl.t;
-  m_waits : (int, wait) Hashtbl.t;
+  m_busy : Bytes.t;  (* page -> '\001' while a request is in service *)
+  (* Page-indexed, and empty until the first queued request (first
+     wait): sized at registration, they made set-up pay for every page
+     of every shared object.  A page's queue is created on first use. *)
+  mutable m_queue : msg Queue.t option array;
+  mutable m_waits : wait option array;
 }
 
 (* Metric handles (see docs/PERFORMANCE.md): like the ASVM side, the
@@ -97,10 +104,13 @@ type t = {
   words_per_page : int;
   header_bytes : int;
   mutable ports : msg Ipc.port array;
-  managers : (Ids.obj_id, mstate) Hashtbl.t;
-  exports : (Ids.obj_id, export) Hashtbl.t;
+  (* [managers], [exports] and [conts] are only probed, except that
+     [crash_node] walks [managers] to clear state, which schedules
+     nothing *)
+  managers : mstate Int_table.t;
+  exports : export Int_table.t;
   pools : fork_pool array;
-  conts : (int, unit -> unit) Hashtbl.t;
+  conts : (unit -> unit) Int_table.t;
   mutable next_cont : int;
   metrics : Metrics.Registry.t;
   handles : handles;
@@ -120,11 +130,12 @@ type t = {
 let now t = Asvm_simcore.Engine.now (Vm.engine t.vms.(0))
 
 let node_state ms node =
-  match Hashtbl.find_opt ms.m_state node with
+  match ms.m_state.(node) with
   | Some b -> b
   | None ->
     let b = Bytes.make ms.m_size st_invalid in
-    Hashtbl.add ms.m_state node b;
+    ms.m_state.(node) <- Some b;
+    ms.m_rows <- ms.m_rows + 1;
     b
 
 let writer_of ms page ~except =
@@ -138,7 +149,7 @@ let readers_of ms page ~except =
     ms.m_sharers
 
 let manager_for t obj =
-  match Hashtbl.find_opt t.managers obj with
+  match Int_table.find_opt t.managers obj with
   | Some ms -> ms
   | None -> failwith (Printf.sprintf "Xmm: obj#%d has no manager" obj)
 
@@ -262,17 +273,20 @@ let send t ~src ~dst_node ?carries_page ?row msg =
   let ci = if not page then 0 else if src = dst_node then 1 else 2 in
   Metrics.Counter.incr (msgs_counter t row ci);
   if row_is_transfer.(row) then Metrics.Counter.incr (ot_counter t row ci);
-  Trace.emit t.trace ~time:(now t) ~node:src
-    (Trace.Msg
-       {
-         proto = "xmm";
-         cls;
-         group;
-         src;
-         dst = dst_node;
-         carries_page = page;
-         bytes = (t.header_bytes + if page then page_bytes else 0);
-       });
+  (match t.trace with
+  | None -> ()
+  | Some _ as trace ->
+    Trace.emit trace ~time:(now t) ~node:src
+      (Trace.Msg
+         {
+           proto = "xmm";
+           cls;
+           group;
+           src;
+           dst = dst_node;
+           carries_page = page;
+           bytes = (t.header_bytes + if page then page_bytes else 0);
+         }));
   Ipc.send t.ipc ~src ~dst:t.ports.(dst_node) ?carries_page msg
 
 (* One hop of local IPC between the kernel-resident XMM stack and the
@@ -282,7 +296,7 @@ let send t ~src ~dst_node ?carries_page ?row msg =
 let pager_hop t ~node ~carries_page ~row k =
   let id = t.next_cont in
   t.next_cont <- id + 1;
-  Hashtbl.add t.conts id k;
+  Int_table.add t.conts id k;
   send t ~src:node ~dst_node:node ~carries_page ~row (Pager_hop { cont = id })
 
 let observe_fault t ~obj ~page ~origin ~write =
@@ -304,12 +318,27 @@ let observe_fault t ~obj ~page ~origin ~write =
 (* ------------------------------------------------------------------ *)
 
 let queue_of ms page =
-  match Hashtbl.find_opt ms.m_queue page with
+  if Array.length ms.m_queue = 0 then ms.m_queue <- Array.make ms.m_size None;
+  match ms.m_queue.(page) with
   | Some q -> q
   | None ->
     let q = Queue.create () in
-    Hashtbl.add ms.m_queue page q;
+    ms.m_queue.(page) <- Some q;
     q
+
+let queued ms page =
+  if page < Array.length ms.m_queue then ms.m_queue.(page) else None
+
+let wait_of ms page =
+  if page < Array.length ms.m_waits then ms.m_waits.(page) else None
+
+let set_wait ms page w =
+  if Array.length ms.m_waits = 0 then ms.m_waits <- Array.make ms.m_size None;
+  ms.m_waits.(page) <- w
+
+let is_busy ms page = Bytes.get ms.m_busy page <> '\000'
+let set_busy ms page busy =
+  Bytes.set ms.m_busy page (if busy then '\001' else '\000')
 
 (* Step 1 of the XMM protocol: create a coherent version of the page at
    the pager. If some other node holds the page for writing, its copy is
@@ -323,7 +352,7 @@ let make_coherent t ms ~origin ~page ~desired k =
       if Prot.equal desired Prot.Read_write then Prot.No_access
       else Prot.Read_only
     in
-    Hashtbl.replace ms.m_waits page { remaining = 1; finished = k };
+    set_wait ms page (Some { remaining = 1; finished = k });
     Bytes.set (node_state ms writer) page
       (if Prot.equal max_access Prot.No_access then st_invalid else st_read);
     send t ~src:ms.m_node ~dst_node:writer
@@ -336,8 +365,7 @@ let flush_readers t ms ~origin ~page ~desired k =
     match readers_of ms page ~except:origin with
     | [] -> k ()
     | readers ->
-      Hashtbl.replace ms.m_waits page
-        { remaining = List.length readers; finished = k };
+      set_wait ms page (Some { remaining = List.length readers; finished = k });
       List.iter
         (fun r ->
           Bytes.set (node_state ms r) page st_invalid;
@@ -363,9 +391,11 @@ let rec run_request t ms ~origin ~page ~desired ~upgrade =
     make_coherent t ms ~origin ~page ~desired (fun () ->
         flush_readers t ms ~origin ~page ~desired (fun () ->
             let record_owner () =
-              if Prot.equal desired Prot.Read_write then
-                Trace.emit t.trace ~time:(now t) ~node:ms.m_node
+              match t.trace with
+              | Some _ as trace when Prot.equal desired Prot.Read_write ->
+                Trace.emit trace ~time:(now t) ~node:ms.m_node
                   (Trace.Ownership { obj; page; owner = origin })
+              | Some _ | None -> ()
             in
             (* The contents-free upgrade fast path is only sound while the
                origin still holds the data.  The manager's matrix can be
@@ -436,32 +466,33 @@ let rec run_request t ms ~origin ~page ~desired ~upgrade =
   end
 
 and unbusy t ms page =
-  Hashtbl.remove ms.m_busy page;
-  let q = queue_of ms page in
-  if not (Queue.is_empty q) then
+  set_busy ms page false;
+  match queued ms page with
+  | Some q when not (Queue.is_empty q) -> (
     match Queue.pop q with
     | Request { origin; page; desired; upgrade; _ } ->
-      Hashtbl.add ms.m_busy page ();
+      set_busy ms page true;
       run_request t ms ~origin ~page ~desired ~upgrade
-    | _ -> assert false
+    | _ -> assert false)
+  | Some _ | None -> ()
 
 let manager_request t ms ~origin ~page ~desired ~upgrade =
-  if Hashtbl.mem ms.m_busy page then
+  if is_busy ms page then
     Queue.push
       (Request { origin; obj = ms.m_obj; page; desired; upgrade })
       (queue_of ms page)
   else begin
-    Hashtbl.add ms.m_busy page ();
+    set_busy ms page true;
     run_request t ms ~origin ~page ~desired ~upgrade
   end
 
 let resume_wait ms page =
-  match Hashtbl.find_opt ms.m_waits page with
+  match wait_of ms page with
   | None -> ()
   | Some w ->
     w.remaining <- w.remaining - 1;
     if w.remaining <= 0 then begin
-      Hashtbl.remove ms.m_waits page;
+      set_wait ms page None;
       w.finished ()
     end
 
@@ -547,7 +578,7 @@ let pool_release pool =
 
 let handle_fork_request t ~dst_node ~dst_obj ~page =
   let e =
-    match Hashtbl.find_opt t.exports dst_obj with
+    match Int_table.find_opt t.exports dst_obj with
     | Some e -> e
     | None ->
       failwith (Printf.sprintf "Xmm: obj#%d is not an exported copy" dst_obj)
@@ -619,9 +650,9 @@ let handle t node msg =
     Vm.data_supply t.vms.(node) ~obj:dst_obj ~page ~contents
       ~lock:Prot.Read_only ~mode:Emmi.Supply_normal
   | Pager_hop { cont } -> (
-    match Hashtbl.find_opt t.conts cont with
+    match Int_table.find_opt t.conts cont with
     | Some k ->
-      Hashtbl.remove t.conts cont;
+      Int_table.remove t.conts cont;
       k ()
     | None -> failwith "Xmm: dangling pager continuation")
 
@@ -640,12 +671,12 @@ let create ~net ~ipc_config ~vms ~words_per_page ~fork_threads ?metrics ?trace
       words_per_page;
       header_bytes = ipc_config.Ipc.header_bytes;
       ports = [||];
-      managers = Hashtbl.create 16;
-      exports = Hashtbl.create 16;
+      managers = Int_table.create 16;
+      exports = Int_table.create 16;
       pools =
         Array.init n (fun _ ->
             { limit = fork_threads; in_use = 0; waiting = Queue.create () });
-      conts = Hashtbl.create 32;
+      conts = Int_table.create 32;
       next_cont = 0;
       metrics;
       handles = make_handles metrics;
@@ -694,14 +725,15 @@ let register_shared_object t ~obj ~size_pages ~manager_node ~pager ~sharers =
       m_node = manager_node;
       m_pager = pager;
       m_sharers = sharers;
-      m_state = Hashtbl.create 8;
+      m_state = Array.make (Array.length t.vms) None;
+      m_rows = 0;
       m_cleaned = Bytes.make size_pages '\000';
-      m_busy = Hashtbl.create 8;
-      m_queue = Hashtbl.create 8;
-      m_waits = Hashtbl.create 8;
+      m_busy = Bytes.make size_pages '\000';
+      m_queue = [||];
+      m_waits = [||];
     }
   in
-  Hashtbl.replace t.managers obj ms;
+  Int_table.replace t.managers obj ms;
   List.iter
     (fun node ->
       ignore (node_state ms node);
@@ -751,24 +783,26 @@ let register_shared_object t ~obj ~size_pages ~manager_node ~pager ~sharers =
    which is the availability contrast docs/AVAILABILITY.md draws against
    ASVM's re-electable distributed ownership. *)
 let crash_node t ~node =
-  Hashtbl.iter
+  Int_table.iter
     (fun _ ms ->
       (* the victim's cache is gone: it holds nothing, anywhere *)
-      (match Hashtbl.find_opt ms.m_state node with
+      (match ms.m_state.(node) with
       | Some row -> Bytes.fill row 0 ms.m_size st_invalid
       | None -> ());
       (* requests the victim originated and never got served are moot *)
-      Hashtbl.iter
-        (fun _page q ->
-          let keep = Queue.create () in
-          Queue.iter
-            (fun m ->
-              match m with
-              | Request { origin; _ } when origin = node -> ()
-              | m -> Queue.push m keep)
-            q;
-          Queue.clear q;
-          Queue.transfer keep q)
+      Array.iter
+        (function
+          | None -> ()
+          | Some q ->
+            let keep = Queue.create () in
+            Queue.iter
+              (fun m ->
+                match m with
+                | Request { origin; _ } when origin = node -> ()
+                | m -> Queue.push m keep)
+              q;
+            Queue.clear q;
+            Queue.transfer keep q)
         ms.m_queue)
     t.managers;
   (* resolve the Lock_dones the victim owed: the manager's wait must not
@@ -802,7 +836,7 @@ let rejoin_node t ~node =
 
 let state_bytes t ~obj =
   let ms = manager_for t obj in
-  Hashtbl.length ms.m_state * ms.m_size
+  ms.m_rows * ms.m_size
 
 let export_copy t ~src_node ~src_obj ~dst_node ~dst_obj =
   let vm = t.vms.(src_node) in
@@ -815,7 +849,7 @@ let export_copy t ~src_node ~src_obj ~dst_node ~dst_obj =
   ignore
     (Vm.map vm ~task:src_task ~obj:src_obj ~start:0 ~npages:size ~obj_offset:0
        ~inherit_:Asvm_machvm.Address_map.Inherit_none);
-  Hashtbl.replace t.exports dst_obj
+  Int_table.replace t.exports dst_obj
     { e_src_node = src_node; e_src_task = src_task };
   let manager =
     {

@@ -507,9 +507,39 @@ let test_terminate_managed_rejected () =
     (Invalid_argument "Vm.terminate_object: object is managed") (fun () ->
       Vm.terminate_object vm oid)
 
+let test_page_key_round_trip () =
+  let module Ids = Asvm_machvm.Ids in
+  let top = (1 lsl 31) - 1 in
+  List.iter
+    (fun (obj, page) ->
+      let key = Ids.page_key obj page in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "(%d, %d)" obj page)
+        (obj, page)
+        (Ids.key_obj key, Ids.key_page key))
+    [ (0, 0); (1, 0); (0, 1); (7, 511); (top, 0); (0, top); (top, top) ];
+  Alcotest.(check bool)
+    "distinct pairs, distinct keys" true
+    (Ids.page_key 1 0 <> Ids.page_key 0 1
+    && Ids.page_key top 0 <> Ids.page_key 0 top)
+
+let test_page_key_bounds () =
+  let module Ids = Asvm_machvm.Ids in
+  List.iter
+    (fun (obj, page) ->
+      match Ids.page_key obj page with
+      | _ -> Alcotest.failf "page_key %d %d accepted" obj page
+      | exception Invalid_argument _ -> ())
+    [ (1 lsl 31, 0); (0, 1 lsl 31); (max_int, 0); (0, max_int); (-1, 0); (0, -1) ]
+
 let () =
   Alcotest.run "machvm"
     [
+      ( "ids",
+        [
+          Alcotest.test_case "page key round trip" `Quick test_page_key_round_trip;
+          Alcotest.test_case "page key bounds" `Quick test_page_key_bounds;
+        ] );
       ( "local faults",
         [
           Alcotest.test_case "zero fill" `Quick test_zero_fill_read;

@@ -377,6 +377,67 @@ let test_tracer_none_noop () =
   (* emitting to an absent tracer must be free and safe *)
   Asvm_simcore.Tracer.emit None ~time:0. ~node:0 ~category:"x" ~detail:"y"
 
+(* ----------------------- int table ----------------------- *)
+
+module Int_table = Asvm_simcore.Int_table
+
+type table_op = Replace of int * int | Remove of int | Probe of int
+
+(* keys mix a dense small range (hits, shared buckets), negatives and
+   the extremes, where an identity hash is most likely to go wrong *)
+let gen_table_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range (-8) 40);
+        (2, int);
+        (1, oneofl [ max_int; min_int; max_int - 1; min_int + 1; 0; -1 ]);
+        (1, map (fun k -> k lsl 31) (int_range 0 8));
+      ])
+
+let gen_table_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun k v -> Replace (k, v)) gen_table_key small_int);
+        (2, map (fun k -> Remove k) gen_table_key);
+        (1, map (fun k -> Probe k) gen_table_key);
+      ])
+
+let show_table_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Probe k -> Printf.sprintf "probe %d" k
+
+let test_int_table_matches_hashtbl =
+  QCheck.Test.make ~name:"int table agrees with Stdlib.Hashtbl" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_table_op ops))
+       QCheck.Gen.(list_size (int_range 0 200) gen_table_op))
+    (fun ops ->
+      let t = Int_table.create 4 and r = Hashtbl.create 4 in
+      List.for_all
+        (fun op ->
+          let k =
+            match op with
+            | Replace (k, v) ->
+              Int_table.replace t k v;
+              Hashtbl.replace r k v;
+              k
+            | Remove k ->
+              Int_table.remove t k;
+              Hashtbl.remove r k;
+              k
+            | Probe k -> k
+          in
+          Int_table.find_opt t k = Hashtbl.find_opt r k
+          && Int_table.mem t k = Hashtbl.mem r k
+          && Int_table.length t = Hashtbl.length r)
+        ops
+      && Hashtbl.fold
+           (fun k v ok -> ok && Int_table.find_opt t k = Some v)
+           r true)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let () =
@@ -422,4 +483,5 @@ let () =
           Alcotest.test_case "tracer ring" `Quick test_tracer_ring;
           Alcotest.test_case "tracer none" `Quick test_tracer_none_noop;
         ] );
+      ("int_table", [ qtest test_int_table_matches_hashtbl ]);
     ]

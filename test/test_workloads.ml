@@ -177,6 +177,48 @@ let test_fault_micro_read_constant () =
   in
   Alcotest.(check (float 0.3)) "read fault latency constant" r1 r2
 
+(* ----------------------- park-timeout gate ----------------------- *)
+
+(* ASVM's park timeout ([park_timeout_ms]) breaks mutual parking cycles
+   under memory pressure.  In a fault-free cell whose data fits memory
+   no such cycle can form, so a timeout firing there would hide a
+   protocol bug: the counter must read 0. *)
+let park_timeouts run =
+  let seen = ref None in
+  run ~inspect:(fun cl ->
+      match Asvm_cluster.Cluster.backend cl with
+      | `Asvm a ->
+        seen :=
+          Some
+            (Asvm_simcore.Stats.Counters.get (Asvm_core.Asvm.counters a)
+               "forward.park_timeouts")
+      | `Xmm _ -> ());
+  match !seen with Some n -> n | None -> Alcotest.fail "inspect never ran"
+
+let test_park_timeouts_em3d () =
+  let params = { Em3d.cells = 16_000; nodes = 8; iterations = 3; seed = 5 } in
+  Alcotest.(check bool)
+    "data fits memory" true
+    (Em3d.fits ~cells:params.cells ~nodes:params.nodes
+       ~memory_pages_per_node:Asvm_machvm.Vm_config.default.memory_pages);
+  Alcotest.(check int) "forward.park_timeouts" 0
+    (park_timeouts (fun ~inspect ->
+         ignore (Em3d.run ~mm:Config.Mm_asvm ~inspect params)))
+
+let test_park_timeouts_file_read () =
+  Alcotest.(check int) "forward.park_timeouts" 0
+    (park_timeouts (fun ~inspect ->
+         ignore
+           (File_io.read_test ~mm:Config.Mm_asvm ~nodes:16 ~file_mb:1 ~inspect
+              ())))
+
+let test_park_timeouts_fault_micro () =
+  Alcotest.(check int) "forward.park_timeouts" 0
+    (park_timeouts (fun ~inspect ->
+         ignore
+           (Fault_micro.measure_instrumented ~mm:Config.Mm_asvm ~inspect
+              (Fault_micro.Write_fault { read_copies = 8 }))))
+
 let () =
   Alcotest.run "workloads"
     [
@@ -211,5 +253,12 @@ let () =
         [
           Alcotest.test_case "monotone in readers" `Quick test_fault_micro_monotone;
           Alcotest.test_case "read constant" `Quick test_fault_micro_read_constant;
+        ] );
+      ( "park timeouts",
+        [
+          Alcotest.test_case "em3d" `Quick test_park_timeouts_em3d;
+          Alcotest.test_case "file read" `Quick test_park_timeouts_file_read;
+          Alcotest.test_case "table 1 write fault" `Quick
+            test_park_timeouts_fault_micro;
         ] );
     ]
