@@ -994,6 +994,7 @@ let serve_cell_json ~mm ~process ~oversub ~violations (r : Serve.result) =
       ("reader_handoffs", Json.Int r.reader_handoffs);
       ("internode_pageouts", Json.Int r.internode_pageouts);
       ("pageouts_to_pager", Json.Int r.pageouts_to_pager);
+      ("park_timeouts", Json.Int r.park_timeouts);
       ( "queue_depth",
         Json.List
           (List.map

@@ -39,6 +39,8 @@ test -s BENCH_chaos.json
 head -c 96 BENCH_chaos.json | grep -q '"schema":"asvm.chaos/v1"'
 head -c 96 BENCH_chaos.json | grep -q '"total_violations":0'
 grep -q '"lost_writes":0' BENCH_chaos.json
+# ASVM park timeouts hide parking cycles, so every cell reports them
+grep -q '"park_timeouts":' BENCH_chaos.json
 
 echo "== serve smoke (--quick, 2 jobs)"
 # the serve bench exits nonzero when any cell fails to drain, reports
@@ -51,6 +53,7 @@ test -s BENCH_serve.json
 head -c 64 BENCH_serve.json | grep -q '"schema":"asvm.serve/v1"'
 grep -q '"percentiles_ordered":true' BENCH_serve.json
 grep -q '"p999_ms"' BENCH_serve.json
+grep -q '"park_timeouts":' BENCH_serve.json
 if grep -q '"percentiles_ordered":false' BENCH_serve.json; then
   echo "serve: a cell reports unordered percentiles" >&2
   exit 1
@@ -61,6 +64,11 @@ echo "== crash-soak smoke (--crash --quick)"
 # protocols (docs/AVAILABILITY.md); nonzero exit on any violation,
 # lost write or incomplete cell
 dune exec bin/asvm_sim.exe -- chaos --crash --quick --jobs 2
+
+echo "== perfbench smoke (em3d, 1 s)"
+# Table 3's EM3D with data that fits: ownership transfer and
+# invalidation load the fault handlers, STS/NORMA and the mesh
+bash perfbench/run.sh --workload em3d --seed 1 --seconds 1 --trace 0
 
 echo "== perfbench smoke (em3d-oversub, 1 s)"
 # the repository benchmark checks invariants, Em3d.validate and digest

@@ -25,6 +25,7 @@ type outcome = {
   crashes : int;
   rejoins : int;
   lost_pages : int;
+  park_timeouts : int;
   recovery_p50_ms : float option;
   recovery_p99_ms : float option;
 }
@@ -134,14 +135,14 @@ let run_one ?quick ~mm ~workload ~plan ~reliable () =
   in
   let violations = ref [] in
   let snap = ref [] in
-  let lost_pages = ref 0 in
+  let lost_pages = ref 0 and park_timeouts = ref 0 in
   let inspect cl =
     violations := Invariants.check cl;
     (match Cluster.backend cl with
     | `Asvm a ->
-      lost_pages :=
-        Asvm_simcore.Stats.Counters.get (Asvm_core.Asvm.counters a)
-          "crash.lost_pages"
+      let get = Asvm_simcore.Stats.Counters.get (Asvm_core.Asvm.counters a) in
+      lost_pages := get "crash.lost_pages";
+      park_timeouts := get "forward.park_timeouts"
     | `Xmm _ -> ());
     snap := Cluster.metrics_snapshot cl
   in
@@ -187,6 +188,7 @@ let run_one ?quick ~mm ~workload ~plan ~reliable () =
     crashes = Metrics.counter_total s "chaos.crashes";
     rejoins = Metrics.counter_total s "chaos.rejoins";
     lost_pages = !lost_pages;
+    park_timeouts = !park_timeouts;
     recovery_p50_ms;
     recovery_p99_ms;
   }
@@ -379,6 +381,7 @@ let outcome_to_json o =
       ("crashes", Json.Int o.crashes);
       ("rejoins", Json.Int o.rejoins);
       ("lost_pages", Json.Int o.lost_pages);
+      ("park_timeouts", Json.Int o.park_timeouts);
       ( "recovery_p50_ms",
         match o.recovery_p50_ms with
         | None -> Json.Null

@@ -40,6 +40,8 @@ type outcome = {
   rejoins : int;  (** crashed nodes re-admitted *)
   lost_pages : int;
       (** pages whose only copy died with a node (documented loss) *)
+  park_timeouts : int;
+      (** ASVM park timeouts that broke a parking cycle; 0 under XMM *)
   recovery_p50_ms : float option;
       (** median post-rejoin fault recovery latency, when any occurred *)
   recovery_p99_ms : float option;

@@ -26,39 +26,56 @@ module Gauge = struct
 end
 
 module Histogram = struct
+  (* Samples sit unboxed in [buf.(0 .. n-1)], 8 bytes each.  [sorted]
+     feeds the stable sort [buf] read backwards, newest first, and
+     [merge] lays out its buffer to match.  The order matters only for
+     ties under [Float.compare] (0. and -0., NaNs), and it is the one
+     every percentile this module has printed came from. *)
   type t = {
-    mutable samples : float list;  (* reverse order of observation *)
+    mutable buf : Float.Array.t;  (* capacity doubles on growth *)
     mutable n : int;
-    mutable sum : float;
+    sum : Gauge.t;  (* an all-float record: adding to it does not box *)
     mutable sorted : float array option;  (* cache, invalidated on observe *)
   }
 
-  let create () = { samples = []; n = 0; sum = 0.; sorted = None }
+  let of_buf buf n sum = { buf; n; sum = { Gauge.v = sum }; sorted = None }
+  let create () = of_buf (Float.Array.create 0) 0 0.
 
   let observe t x =
-    t.samples <- x :: t.samples;
+    if t.n = Float.Array.length t.buf then begin
+      let buf = Float.Array.create (max 16 (2 * t.n)) in
+      Float.Array.blit t.buf 0 buf 0 t.n;
+      t.buf <- buf
+    end;
+    Float.Array.unsafe_set t.buf t.n x;
     t.n <- t.n + 1;
-    t.sum <- t.sum +. x;
+    Gauge.add t.sum x;
     t.sorted <- None
 
   let count t = t.n
 
   (* pooled samples, not a sketch: the merged histogram is exactly the
-     one a single collector would have produced *)
+     one a single collector would have produced.  [b]'s samples oldest
+     first, then [a]'s newest first: read backwards, [a]'s oldest
+     first, then [b]'s newest first *)
   let merge a b =
-    {
-      samples = List.rev_append a.samples b.samples;
-      n = a.n + b.n;
-      sum = a.sum +. b.sum;
-      sorted = None;
-    }
-  let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
+    let buf = Float.Array.create (a.n + b.n) in
+    Float.Array.blit b.buf 0 buf 0 b.n;
+    for i = 1 to a.n do
+      Float.Array.set buf (b.n + i - 1) (Float.Array.get a.buf (a.n - i))
+    done;
+    of_buf buf (a.n + b.n) (Gauge.value a.sum +. Gauge.value b.sum)
+
+  let mean t = if t.n = 0 then 0. else Gauge.value t.sum /. float_of_int t.n
 
   let sorted t =
     match t.sorted with
     | Some a -> a
     | None ->
-      let a = Array.of_list t.samples in
+      let a = Array.create_float t.n in
+      for i = 1 to t.n do
+        a.(i - 1) <- Float.Array.get t.buf (t.n - i)
+      done;
       (* cheaper than a heap sort through polymorphic compare, which
          showed in snapshot time on histograms of ~10^5 samples *)
       Array.stable_sort Float.compare a;
@@ -139,9 +156,7 @@ module Registry = struct
   let histogram t ?(labels = []) name =
     get t ~name ~labels ~kind:"histogram"
       ~make:(fun () ->
-        let h =
-          { Histogram.samples = []; n = 0; sum = 0.; sorted = None }
-        in
+        let h = Histogram.create () in
         (h, M_histogram h))
       ~cast:(function M_histogram h -> Some h | _ -> None)
 

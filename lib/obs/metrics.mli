@@ -43,8 +43,9 @@ module Gauge : sig
   val value : t -> float
 end
 
-(** Append-only distribution of float samples with exact percentiles
-    (all samples are retained — fine at simulation scale). *)
+(** Append-only distribution of float samples with exact percentiles.
+    Every sample is retained, unboxed in a buffer that doubles as it
+    grows: 8 bytes a sample, and [observe] allocates only on growth. *)
 module Histogram : sig
   type t
 

@@ -57,6 +57,7 @@ type result = {
   reader_handoffs : int;
   internode_pageouts : int;
   pageouts_to_pager : int;
+  park_timeouts : int;
   latency_values : float array;
   merged_count : int;
   registry_count : int;
@@ -211,6 +212,7 @@ let run ~mm ?(tweak = Fun.id) ?(inspect = ignore) ?(on_start = ignore) p =
     reader_handoffs = asvm_counter "pageout.reader_handoffs";
     internode_pageouts = asvm_counter "pageout.internode";
     pageouts_to_pager = asvm_counter "pageout.to_pager";
+    park_timeouts = asvm_counter "forward.park_timeouts";
     latency_values = Metrics.Histogram.values merged;
     merged_count = Metrics.Histogram.count merged;
     registry_count = Metrics.Histogram.count lat_h;

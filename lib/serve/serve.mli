@@ -61,6 +61,8 @@ type result = {
   reader_handoffs : int;  (** ASVM §3.6 step-2 counters; 0 under XMM *)
   internode_pageouts : int;
   pageouts_to_pager : int;
+  park_timeouts : int;
+      (** ASVM park timeouts that broke a parking cycle; 0 under XMM *)
   latency_values : float array;
       (** every request latency, sorted — the material for CDF plots *)
   merged_count : int;

@@ -96,8 +96,8 @@ let test_percentiles () =
   close "mean" 50.5 (Metrics.Histogram.mean h);
   Alcotest.(check int) "count" 100 (Metrics.Histogram.count h)
 
-(* Percentiles as both histograms computed them with the polymorphic
-   heap sort they used before: the float merge sort must not move any. *)
+(* Percentiles as the histogram computed them with the polymorphic
+   heap sort it used before: the float merge sort must not move any. *)
 let old_sorted samples =
   let a = Array.of_list samples in
   Array.sort compare a;
@@ -110,15 +110,6 @@ let old_metrics_percentile a p =
   else
     let frac = rank -. float_of_int lo in
     (a.(lo) *. (1. -. frac)) +. (a.(hi) *. frac)
-
-let old_stats_percentile a p =
-  let n = Array.length a in
-  if n = 1 then a.(0)
-  else
-    let rank = p /. 100. *. float_of_int (n - 1) in
-    let lo = min (n - 2) (int_of_float rank) in
-    let frac = rank -. float_of_int lo in
-    a.(lo) +. (frac *. (a.(lo + 1) -. a.(lo)))
 
 let test_sort_matches_old =
   let sample =
@@ -133,29 +124,229 @@ let test_sort_matches_old =
       let a = old_sorted samples in
       let r = Metrics.Registry.create () in
       let h = Metrics.Registry.histogram r "h" in
-      let s = Asvm_simcore.Stats.Histogram.create () in
-      List.iter
-        (fun x ->
-          Metrics.Histogram.observe h x;
-          Asvm_simcore.Stats.Histogram.add s x)
-        samples;
+      List.iter (Metrics.Histogram.observe h) samples;
       let same = Float.equal in
-      let stats_ok =
-        List.for_all
-          (fun p ->
-            same (old_stats_percentile a p)
-              (Asvm_simcore.Stats.Histogram.percentile s p))
-          [ 0.; 50.; 90.; 99.; 100. ]
-      in
       match Metrics.Registry.snapshot r with
       | [ { value = Metrics.Histogram_v v; _ } ] ->
-        stats_ok
-        && same v.min a.(0)
+        same v.min a.(0)
         && same v.max a.(Array.length a - 1)
         && same v.p50 (old_metrics_percentile a 50.)
         && same v.p90 (old_metrics_percentile a 90.)
         && same v.p99 (old_metrics_percentile a 99.)
       | _ -> false)
+
+(* The histogram as it was when samples were a float list, newest
+   first: the reference the flat buffer must match bit for bit. *)
+module List_histogram = struct
+  type t = {
+    mutable samples : float list;
+    mutable n : int;
+    mutable sum : float;
+    mutable sorted : float array option;
+  }
+
+  let create () = { samples = []; n = 0; sum = 0.; sorted = None }
+
+  let observe t x =
+    t.samples <- x :: t.samples;
+    t.n <- t.n + 1;
+    t.sum <- t.sum +. x;
+    t.sorted <- None
+
+  let merge a b =
+    {
+      samples = List.rev_append a.samples b.samples;
+      n = a.n + b.n;
+      sum = a.sum +. b.sum;
+      sorted = None;
+    }
+
+  let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
+
+  let sorted t =
+    match t.sorted with
+    | Some a -> a
+    | None ->
+      let a = Array.of_list t.samples in
+      Array.stable_sort Float.compare a;
+      t.sorted <- Some a;
+      a
+
+  let values t = Array.copy (sorted t)
+
+  let percentile t p =
+    if t.n = 0 then invalid_arg "Histogram.percentile: empty";
+    old_metrics_percentile (sorted t) p
+end
+
+type hist_op =
+  | Observe of int * float list  (* slot, samples in order *)
+  | Merge of int * int * int  (* dst := merge a b *)
+  | Fold of int * int list  (* dst := fold_left merge (create ()) srcs *)
+  | Percentile of int * float
+  | Values of int  (* then scribble over the returned copy *)
+  | Snapshot  (* the registry's view of slot 0 *)
+
+let pp_hist_op = function
+  | Observe (s, xs) ->
+    Printf.sprintf "Observe(%d,[%s])" s
+      (String.concat ";" (List.map (Printf.sprintf "%h") xs))
+  | Merge (d, a, b) -> Printf.sprintf "Merge(%d:=%d,%d)" d a b
+  | Fold (d, srcs) ->
+    Printf.sprintf "Fold(%d:=[%s])" d
+      (String.concat ";" (List.map string_of_int srcs))
+  | Percentile (s, p) -> Printf.sprintf "Percentile(%d,%g)" s p
+  | Values s -> Printf.sprintf "Values(%d)" s
+  | Snapshot -> "Snapshot"
+
+let hist_slots = 4
+
+(* Samples that compare equal under [Float.compare] but differ in bits
+   (0./-0., NaNs with different payloads) make any reordering of ties
+   visible. *)
+let hist_sample =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, float_range (-50.) 50.);
+        ( 3,
+          oneofl
+            [ 0.; -0.; 1.; 1.; Float.nan; Int64.float_of_bits 0x7FF8000000000001L ]
+        );
+      ])
+
+let hist_op =
+  let slot = QCheck.Gen.int_bound (hist_slots - 1) in
+  QCheck.Gen.(
+    frequency
+      [
+        (* bursts long enough to cross the buffer's doubling points *)
+        (5, map2 (fun s xs -> Observe (s, xs)) slot
+              (list_size (oneof [ int_bound 5; int_range 10 300 ]) hist_sample));
+        (2, map3 (fun d a b -> Merge (d, a, b)) slot slot slot);
+        (1, map2 (fun d srcs -> Fold (d, srcs)) slot (list_size (int_bound 4) slot));
+        (3, map2 (fun s p -> Percentile (s, p)) slot
+              (oneof [ float_bound_inclusive 100.; oneofl [ 0.; 50.; 99.; 100. ] ]));
+        (2, map (fun s -> Values s) slot);
+        (1, return Snapshot);
+      ])
+
+let test_histogram_matches_list_model =
+  QCheck.Test.make ~name:"histogram matches the list model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat " " (List.map pp_hist_op ops))
+        Gen.(list_size (int_range 1 40) hist_op))
+    (fun ops ->
+      let bits_eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      let arrays_eq a b =
+        Array.length a = Array.length b && Array.for_all2 bits_eq a b
+      in
+      let r = Metrics.Registry.create () in
+      (* slot 0 starts as a registry series, the others free-standing *)
+      let real =
+        Array.init hist_slots (fun i ->
+            if i = 0 then Metrics.Registry.histogram r "h"
+            else Metrics.Histogram.create ())
+      in
+      let model = Array.init hist_slots (fun _ -> List_histogram.create ()) in
+      let registry_series = ref true in
+      let agree i =
+        let h = real.(i) and m = model.(i) in
+        Metrics.Histogram.count h = m.List_histogram.n
+        && bits_eq (Metrics.Histogram.mean h) (List_histogram.mean m)
+      in
+      (* keep repeated self-merges from doubling without bound *)
+      let room n = n <= 20_000 in
+      let step = function
+        | Observe (s, xs) ->
+          List.iter
+            (fun x ->
+              Metrics.Histogram.observe real.(s) x;
+              List_histogram.observe model.(s) x)
+            xs;
+          agree s
+        | Merge (d, a, b) ->
+          if room (model.(a).n + model.(b).n) then begin
+            real.(d) <- Metrics.Histogram.merge real.(a) real.(b);
+            model.(d) <- List_histogram.merge model.(a) model.(b);
+            if d = 0 then registry_series := false
+          end;
+          agree d && agree a && agree b
+        | Fold (d, srcs) ->
+          if room (List.fold_left (fun acc i -> acc + model.(i).n) 0 srcs)
+          then begin
+            real.(d) <-
+              List.fold_left
+                (fun acc i -> Metrics.Histogram.merge acc real.(i))
+                (Metrics.Histogram.create ()) srcs;
+            model.(d) <-
+              List.fold_left
+                (fun acc i -> List_histogram.merge acc model.(i))
+                (List_histogram.create ()) srcs;
+            if d = 0 then registry_series := false
+          end;
+          agree d
+        | Percentile (s, p) -> (
+          match List_histogram.percentile model.(s) p with
+          | want -> bits_eq want (Metrics.Histogram.percentile real.(s) p)
+          | exception Invalid_argument _ -> (
+            match Metrics.Histogram.percentile real.(s) p with
+            | _ -> false
+            | exception Invalid_argument _ -> true))
+        | Values s ->
+          let got = Metrics.Histogram.values real.(s) in
+          let ok = arrays_eq got (List_histogram.values model.(s)) in
+          (* the copy is the caller's: writing to it must not show *)
+          Array.fill got 0 (Array.length got) 1e300;
+          ok
+        | Snapshot -> (
+          (not !registry_series)
+          ||
+          let m = model.(0) in
+          match Metrics.Registry.snapshot r with
+          | [ { value = Metrics.Histogram_v v; _ } ] when m.n = 0 -> v.count = 0
+          | [ { value = Metrics.Histogram_v v; _ } ] ->
+            let a = List_histogram.sorted m in
+            v.count = m.n
+            && bits_eq v.mean (List_histogram.mean m)
+            && bits_eq v.min a.(0)
+            && bits_eq v.max a.(m.n - 1)
+            && bits_eq v.p50 (List_histogram.percentile m 50.)
+            && bits_eq v.p90 (List_histogram.percentile m 90.)
+            && bits_eq v.p99 (List_histogram.percentile m 99.)
+          | _ -> false)
+      in
+      List.for_all step ops
+      && List.for_all
+           (fun i ->
+             agree i
+             && arrays_eq
+                  (Metrics.Histogram.values real.(i))
+                  (List_histogram.values model.(i)))
+           (List.init hist_slots Fun.id))
+
+(* Footprint gate: a sample is one unboxed float in a doubling buffer,
+   about 2 major words each counting the copies left behind by growth.
+   The boxed argument is the only per-sample minor allocation.  A list
+   cell, a boxed sample and a boxed running sum cost 7 minor words,
+   and the 5 words of cell and sample were promoted.  OCaml 5's [Gc.quick_stat] adds up minor words only at
+   a minor collection, so one is forced before each reading. *)
+let test_histogram_footprint () =
+  let n = 1 lsl 17 in
+  let h = Metrics.Histogram.create () in
+  let stat () = Gc.minor (); Gc.quick_stat () in
+  let before = stat () in
+  for i = 1 to n do
+    Metrics.Histogram.observe h (float_of_int i)
+  done;
+  let after = stat () in
+  let per_sample w0 w1 = (w1 -. w0) /. float_of_int n in
+  let minor = per_sample before.Gc.minor_words after.Gc.minor_words in
+  let major = per_sample before.Gc.major_words after.Gc.major_words in
+  Alcotest.(check int) "count" n (Metrics.Histogram.count h);
+  if minor > 3. then Alcotest.failf "%.2f minor words per sample (> 3)" minor;
+  if major > 2.5 then Alcotest.failf "%.2f major words per sample (> 2.5)" major
 
 let test_diff () =
   let r = Metrics.Registry.create () in
@@ -394,6 +585,8 @@ let () =
           Alcotest.test_case "label merging" `Quick test_label_merging;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
           QCheck_alcotest.to_alcotest test_sort_matches_old;
+          QCheck_alcotest.to_alcotest test_histogram_matches_list_model;
+          Alcotest.test_case "histogram footprint" `Quick test_histogram_footprint;
           Alcotest.test_case "diff" `Quick test_diff;
           Alcotest.test_case "jsonl roundtrip" `Quick test_sample_json_roundtrip;
         ] );

@@ -5,6 +5,7 @@ module Event_queue = Asvm_simcore.Event_queue
 module Station = Asvm_simcore.Station
 module Rng = Asvm_simcore.Rng
 module Stats = Asvm_simcore.Stats
+module Metrics = Asvm_obs.Metrics
 
 let test_queue_order () =
   let q = Event_queue.create () in
@@ -326,22 +327,23 @@ let test_counters () =
   Alcotest.(check int) "y" 1 (Stats.Counters.get c "y");
   Alcotest.(check int) "absent" 0 (Stats.Counters.get c "z")
 
+(* the simulator's one exact-percentile histogram *)
 let test_histogram () =
-  let h = Stats.Histogram.create () in
-  List.iter (Stats.Histogram.add h) [ 5.; 1.; 3.; 2.; 4. ];
-  Alcotest.(check int) "count" 5 (Stats.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "median" 3. (Stats.Histogram.median h);
-  Alcotest.(check (float 1e-9)) "p0" 1. (Stats.Histogram.percentile h 0.);
-  Alcotest.(check (float 1e-9)) "p100" 5. (Stats.Histogram.percentile h 100.);
-  Alcotest.(check (float 1e-9)) "p25" 2. (Stats.Histogram.percentile h 25.)
+  let h = Metrics.Histogram.create () in
+  List.iter (Metrics.Histogram.observe h) [ 5.; 1.; 3.; 2.; 4. ];
+  Alcotest.(check int) "count" 5 (Metrics.Histogram.count h);
+  Alcotest.(check (float 1e-9)) "median" 3. (Metrics.Histogram.percentile h 50.);
+  Alcotest.(check (float 1e-9)) "p0" 1. (Metrics.Histogram.percentile h 0.);
+  Alcotest.(check (float 1e-9)) "p100" 5. (Metrics.Histogram.percentile h 100.);
+  Alcotest.(check (float 1e-9)) "p25" 2. (Metrics.Histogram.percentile h 25.)
 
 let histogram_bounds =
   QCheck.Test.make ~name:"percentiles stay within sample range" ~count:200
     QCheck.(pair (list_of_size (Gen.int_range 1 50) (float_bound_inclusive 100.)) (float_bound_inclusive 100.))
     (fun (samples, p) ->
-      let h = Stats.Histogram.create () in
-      List.iter (Stats.Histogram.add h) samples;
-      let v = Stats.Histogram.percentile h p in
+      let h = Metrics.Histogram.create () in
+      List.iter (Metrics.Histogram.observe h) samples;
+      let v = Metrics.Histogram.percentile h p in
       let lo = List.fold_left min infinity samples in
       let hi = List.fold_left max neg_infinity samples in
       v >= lo -. 1e-9 && v <= hi +. 1e-9)
