@@ -8,9 +8,11 @@
      asvm-sim file   --mm asvm --nodes 16 --op read --mb 4
      asvm-sim em3d   --mm asvm --nodes 32 --cells 256000 --iterations 20
      asvm-sim serve  --mm asvm --arrival bursty --oversub 3.0
-     asvm-sim sweep  --experiment table1 --jobs 4
      asvm-sim chaos  --seeds 10
-     asvm-sim chaos  --seed 3 --workload file --mm asvm *)
+     asvm-sim chaos  --seed 3 --workload file --mm asvm
+
+   Whole tables and figures, with the paper's numbers alongside, come
+   from bench/main.exe (e.g. bench/main.exe -- table1 --jobs 4). *)
 
 open Cmdliner
 
@@ -287,14 +289,7 @@ let serve_cmd =
     let process =
       match arrival with
       | `Poisson -> Arrival.Poisson { rate_per_s = rate }
-      | `Bursty ->
-        Arrival.Bursty
-          {
-            on_rate_per_s = rate *. 2.5;
-            off_rate_per_s = rate /. 4.;
-            on_ms = 40.;
-            off_ms = 60.;
-          }
+      | `Bursty -> Arrival.bursty ~rate_per_s:rate
     in
     let key_dist =
       match zipf with
@@ -323,8 +318,9 @@ let serve_cmd =
     Printf.printf
       "  latency: p50 %.2f ms, p99 %.2f ms, p999 %.2f ms, max %.2f ms\n"
       r.Serve.p50_ms r.Serve.p99_ms r.Serve.p999_ms r.Serve.max_ms;
-    Printf.printf "  goodput: %.0f req/s over %.0f ms served\n"
-      r.Serve.goodput_rps r.Serve.sim_ms;
+    Printf.printf
+      "  goodput: %.0f req/s over %.0f ms served (%.0f ms to drain)\n"
+      r.Serve.goodput_rps r.Serve.served_ms r.Serve.sim_ms;
     Printf.printf
       "  paging: %d evictions (%d by daemon over %d scans), %d pager stores\n"
       r.Serve.evictions r.Serve.pageout_evictions r.Serve.pageout_runs
@@ -353,12 +349,6 @@ let serve_cmd =
 let chaos_cmd =
   let module Plan = Asvm_chaos.Plan in
   let module Soak = Asvm_chaos.Soak in
-  let seeds_term =
-    Arg.(
-      value & opt int 10
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:"Random fault plans per (protocol, workload) cell.")
-  in
   let seed_term =
     Arg.(
       value
@@ -397,15 +387,6 @@ let chaos_cmd =
           ~doc:
             "Concurrently-down nodes for $(b,--crash) with $(b,--seed) \
              (default 1).")
-  in
-  let jobs_term =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the soak pool; plans and outcomes are \
-             independent of $(docv).")
   in
   let print_crash_stats (o : Soak.outcome) =
     if o.Soak.crashes > 0 then begin
@@ -486,83 +467,8 @@ let chaos_cmd =
           invariant checks after quiesce (see docs/RELIABILITY.md and \
           docs/AVAILABILITY.md).")
     Term.(
-      const run $ mm_term $ seed_term $ seeds_term $ workload_term $ quick_term
-      $ crash_term $ k_term $ jobs_term)
-
-(* -------------------------------- sweep ----------------------------- *)
-
-let sweep_cmd =
-  let experiment_term =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("table1", `Table1);
-               ("figure10", `Figure10);
-               ("figure11", `Figure11);
-               ("table2", `Table2);
-             ])
-          `Table1
-      & info [ "experiment" ] ~docv:"NAME"
-          ~doc:
-            "Which sweep to run: $(b,table1), $(b,figure10), $(b,figure11) or \
-             $(b,table2).")
-  in
-  let jobs_term =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the cell pool (default: the recommended \
-             domain count; 1 = sequential).  Results are independent of \
-             $(docv).")
-  in
-  let run experiment jobs =
-    (match jobs with
-    | Some j when j < 1 ->
-      prerr_endline "asvm-sim: --jobs expects a positive integer";
-      exit 2
-    | _ -> ());
-    match experiment with
-    | `Table1 ->
-      Printf.printf "%-52s %8s %8s\n" "fault type" "ASVM" "XMM";
-      List.iter
-        (fun (label, asvm, xmm) ->
-          Printf.printf "%-52s %8.2f %8.2f\n" label asvm xmm)
-        (Fault_micro.table1 ?jobs ())
-    | `Figure10 ->
-      Printf.printf "%8s %12s %14s %12s %14s\n" "readers" "ASVM write"
-        "ASVM upgrade" "XMM write" "XMM upgrade";
-      List.iter
-        (fun (n, aw, au, xw, xu) ->
-          Printf.printf "%8d %12.2f %14.2f %12.2f %14.2f\n" n aw au xw xu)
-        (Fault_micro.figure10 ?jobs ~readers:[ 1; 2; 4; 8; 16; 32; 64 ] ())
-    | `Figure11 ->
-      Printf.printf "%8s %14s %14s\n" "chain" "ASVM (ms)" "XMM (ms)";
-      let chains = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-      let asvm, _ = Copy_chain.figure11 ?jobs ~mm:Config.Mm_asvm ~chains () in
-      let xmm, _ = Copy_chain.figure11 ?jobs ~mm:Config.Mm_xmm ~chains () in
-      List.iter2
-        (fun (a : Copy_chain.result) (x : Copy_chain.result) ->
-          Printf.printf "%8d %14.2f %14.2f\n" a.Copy_chain.chain
-            a.Copy_chain.mean_fault_ms x.Copy_chain.mean_fault_ms)
-        asvm xmm
-    | `Table2 ->
-      Printf.printf "%6s %10s %10s %10s %10s\n" "nodes" "ASVM wr" "XMM wr"
-        "ASVM rd" "XMM rd";
-      List.iter
-        (fun (n, aw, xw, ar, xr) ->
-          Printf.printf "%6d %10.2f %10.2f %10.2f %10.2f\n" n aw xw ar xr)
-        (File_io.table2 ?jobs ~node_counts:[ 1; 2; 4; 8; 16; 32; 64 ] ())
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Run a whole table/figure as a batch of independent cells on the \
-          parallel job pool.")
-    Term.(const run $ experiment_term $ jobs_term)
+      const run $ mm_term $ seed_term $ Asvm_cli.seeds $ workload_term
+      $ quick_term $ crash_term $ k_term $ Asvm_cli.jobs)
 
 let () =
   let doc = "ASVM multicomputer simulator (USENIX '96 reproduction)" in
@@ -572,7 +478,7 @@ let () =
       (Cmd.group info
          [
            fault_cmd; chain_cmd; file_cmd; em3d_cmd; sor_cmd; serve_cmd;
-           sweep_cmd; chaos_cmd;
+           chaos_cmd;
          ])
   with
   | code -> exit code

@@ -11,6 +11,14 @@ dune build @all
 echo "== dune runtest"
 dune runtest
 
+echo "== bench rejects an unknown experiment"
+# experiment names are an enum: a mistyped one is a usage error, not a
+# run of nothing that exits 0
+if dune exec bench/main.exe -- no-such-experiment >/dev/null 2>&1; then
+  echo "bench: an unknown experiment name exited 0" >&2
+  exit 1
+fi
+
 echo "== selfbench smoke (--quick, 2 jobs)"
 # selfbench parses the file back through Asvm_obs.Json before exiting,
 # so a zero exit already means well-formed JSON; re-check the schema

@@ -1,11 +1,10 @@
 (** Structured protocol traces.
 
-    Replaces the free-form string ring buffer of
-    [Asvm_simcore.Tracer]: events carry a stable variant type
-    ({!kind}) so tools can filter and diff traces without parsing
-    display strings.  A trace always keeps a bounded in-memory ring of
-    the most recent events; optionally it also streams every event to
-    a JSONL sink (one JSON object per line) as it is emitted.
+    Events carry a stable variant type ({!kind}) so tools can filter
+    and diff traces without parsing display strings.  A trace always
+    keeps a bounded in-memory ring of the most recent events;
+    optionally it also streams every event to a JSONL sink (one JSON
+    object per line) as it is emitted.
 
     Emission is nullable by design: protocol code holds a [t option]
     and calls {!emit} unconditionally — with [None] the call is a

@@ -16,6 +16,15 @@ type request = { at_ms : float; node : int; key : int; op : op }
 
 let process_name = function Poisson _ -> "poisson" | Bursty _ -> "bursty"
 
+let bursty ~rate_per_s =
+  Bursty
+    {
+      on_rate_per_s = rate_per_s *. 2.5;
+      off_rate_per_s = rate_per_s /. 4.;
+      on_ms = 40.;
+      off_ms = 60.;
+    }
+
 let mean_rate_per_s = function
   | Poisson { rate_per_s } -> rate_per_s
   | Bursty { on_rate_per_s; off_rate_per_s; on_ms; off_ms } ->

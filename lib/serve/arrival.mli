@@ -42,6 +42,11 @@ type request = { at_ms : float; node : int; key : int; op : op }
 val process_name : process -> string
 (** ["poisson"] or ["bursty"] — the label used in benchmark cells. *)
 
+val bursty : rate_per_s:float -> process
+(** The serving benchmarks' burst shape around a nominal rate [r]:
+    arrivals at [2.5 r] for 40 ms, then at [r / 4] for 60 ms (a
+    long-run mean of [1.15 r]). *)
+
 val mean_rate_per_s : process -> float
 (** Long-run mean arrival rate (time-weighted over phases for
     {!Bursty}). *)

@@ -43,6 +43,7 @@ type result = {
   requests : int;
   completions : int;
   sim_ms : float;
+  served_ms : float;
   goodput_rps : float;
   mean_ms : float;
   p50_ms : float;
@@ -133,6 +134,7 @@ let run ~mm ?(tweak = Fun.id) ?(inspect = ignore) ?(on_start = ignore) p =
      result certifies) that Histogram.merge is exact pooling *)
   let shards = Array.init p.nodes (fun _ -> Metrics.Histogram.create ()) in
   let inflight = ref 0 in
+  let last_done = ref t0 in
   let engine = Cluster.engine cl in
   let samples = ref [] in
   if p.queue_samples > 0 then begin
@@ -151,7 +153,8 @@ let run ~mm ?(tweak = Fun.id) ?(inspect = ignore) ?(on_start = ignore) p =
           incr inflight;
           let finish () =
             decr inflight;
-            let lat = Engine.now engine -. issue_at in
+            last_done := Engine.now engine;
+            let lat = !last_done -. issue_at in
             Metrics.Histogram.observe shards.(r.node) lat;
             Metrics.Histogram.observe lat_h lat;
             Metrics.Counter.incr completions_c
@@ -190,15 +193,16 @@ let run ~mm ?(tweak = Fun.id) ?(inspect = ignore) ?(on_start = ignore) p =
     | `Xmm _ -> 0
   in
   let completions = Metrics.Counter.value completions_c in
-  let sim_ms = Cluster.now cl -. t0 in
+  (* goodput counts the serving window only: the drain ([sim_ms]) also
+     waits out background pageout write-back after the last request *)
+  let served_ms = Float.max p.duration_ms (!last_done -. t0) in
   {
     mm;
     requests = Array.length reqs;
     completions;
-    sim_ms;
-    goodput_rps =
-      (if sim_ms <= 0. then 0.
-       else float_of_int completions /. (sim_ms /. 1000.));
+    sim_ms = Cluster.now cl -. t0;
+    served_ms;
+    goodput_rps = float_of_int completions /. (served_ms /. 1000.);
     mean_ms = Metrics.Histogram.mean merged;
     p50_ms = pct 50.;
     p99_ms = pct 99.;

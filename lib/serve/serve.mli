@@ -46,8 +46,13 @@ type result = {
   mm : Config.mm;
   requests : int;
   completions : int;  (** open loop drains: equals [requests] *)
-  sim_ms : float;  (** serving window start (post warm-up) to drain *)
-  goodput_rps : float;  (** completions per simulated second *)
+  sim_ms : float;
+      (** serving window start (post warm-up) to drain, including the
+          background pageout write-back after the last request *)
+  served_ms : float;
+      (** serving window start to the last completion, and at least
+          [duration_ms] *)
+  goodput_rps : float;  (** completions per second of [served_ms] *)
   mean_ms : float;
   p50_ms : float;
   p99_ms : float;

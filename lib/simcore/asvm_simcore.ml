@@ -10,4 +10,3 @@ module Station = Station
 module Rng = Rng
 module Stats = Stats
 module Int_table = Int_table
-module Tracer = Tracer

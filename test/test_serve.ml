@@ -343,6 +343,36 @@ let test_serve_seed_changes_run () =
     "different seed gives a different run" false
     (a.Serve.latency_values = b.Serve.latency_values)
 
+(* goodput counts completions over the arrival window (or up to the
+   last completion), never over the pageout drain that follows it *)
+let offered_rps (r : Serve.result) =
+  float_of_int r.Serve.requests /. (quick_params.Serve.duration_ms /. 1000.)
+
+let test_goodput_bounded_by_offered () =
+  List.iter
+    (fun mm ->
+      let r = Serve.run ~mm quick_params in
+      let label = Config.mm_name mm in
+      Alcotest.(check bool)
+        (label ^ ": goodput <= requests / duration") true
+        (r.Serve.goodput_rps <= offered_rps r +. 1e-9);
+      Alcotest.(check bool)
+        (label ^ ": served window inside the drain") true
+        (r.Serve.served_ms >= quick_params.Serve.duration_ms
+        && r.served_ms <= r.sim_ms))
+    [ Config.Mm_asvm; Config.Mm_xmm ]
+
+let test_goodput_matches_offered () =
+  let r = Serve.run ~mm:Config.Mm_asvm quick_params in
+  Alcotest.(check bool)
+    "p99 far below the window" true
+    (r.Serve.p99_ms < quick_params.Serve.duration_ms /. 10.);
+  Alcotest.(check bool)
+    (Printf.sprintf "goodput %.0f within 10%% of offered %.0f"
+       r.Serve.goodput_rps (offered_rps r))
+    true
+    (r.Serve.goodput_rps >= 0.9 *. offered_rps r)
+
 let () =
   Alcotest.run "serve"
     [
@@ -387,5 +417,9 @@ let () =
           Alcotest.test_case "deterministic in the seed" `Quick
             test_serve_deterministic;
           Alcotest.test_case "seed is live" `Quick test_serve_seed_changes_run;
+          Alcotest.test_case "goodput within the offered rate" `Quick
+            test_goodput_bounded_by_offered;
+          Alcotest.test_case "goodput near offered at low p99" `Quick
+            test_goodput_matches_offered;
         ] );
     ]

@@ -358,27 +358,6 @@ let test_linear_fit () =
   Alcotest.(check (float 1e-9)) "intercept" 2.7 intercept;
   Alcotest.(check (float 1e-9)) "slope" 0.48 slope
 
-let test_tracer_ring () =
-  let t = Asvm_simcore.Tracer.create ~capacity:3 in
-  for i = 1 to 5 do
-    Asvm_simcore.Tracer.emit (Some t) ~time:(float_of_int i) ~node:0
-      ~category:"x" ~detail:(string_of_int i)
-  done;
-  Alcotest.(check int) "emitted counts all" 5 (Asvm_simcore.Tracer.emitted t);
-  let kept =
-    List.map
-      (fun (e : Asvm_simcore.Tracer.event) -> e.detail)
-      (Asvm_simcore.Tracer.events t)
-  in
-  Alcotest.(check (list string)) "ring keeps newest, in order" [ "3"; "4"; "5" ]
-    kept;
-  Asvm_simcore.Tracer.clear t;
-  Alcotest.(check int) "cleared" 0 (List.length (Asvm_simcore.Tracer.events t))
-
-let test_tracer_none_noop () =
-  (* emitting to an absent tracer must be free and safe *)
-  Asvm_simcore.Tracer.emit None ~time:0. ~node:0 ~category:"x" ~detail:"y"
-
 (* ----------------------- int table ----------------------- *)
 
 module Int_table = Asvm_simcore.Int_table
@@ -482,8 +461,6 @@ let () =
           Alcotest.test_case "histogram" `Quick test_histogram;
           qtest histogram_bounds;
           Alcotest.test_case "linear fit" `Quick test_linear_fit;
-          Alcotest.test_case "tracer ring" `Quick test_tracer_ring;
-          Alcotest.test_case "tracer none" `Quick test_tracer_none_noop;
         ] );
       ("int_table", [ qtest test_int_table_matches_hashtbl ]);
     ]
